@@ -690,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sub.add_argument(
         "--wait", action="store_true",
-        help="long-poll until the job finishes and print its records",
+        help="stream the job's events until it finishes, then print "
+        "its records",
     )
     p_sub.add_argument("--timeout", type=float, default=3600.0)
     p_sub.set_defaults(fn=cmd_submit)

@@ -1,8 +1,8 @@
 """repro.api — the public SDK: one Client, pluggable execution backends.
 
-The reproduction grew three disjoint ways to run the same attack
-(legacy harness functions, the DAG sweep engine, the HTTP service).
-This package is the single stable surface over all of them:
+Every way to run the attacks — the harness functions, the CLI, the
+HTTP service — goes through the DAG sweep engine, and this package is
+the single stable surface over it:
 
 * :class:`Client` — accepts :class:`~repro.experiments.ScenarioSpec`
   objects, spec dicts, or registry grid names, plus high-level helpers
@@ -19,7 +19,7 @@ This package is the single stable surface over all of them:
   :meth:`ResultSet.diff` for sweep-vs-sweep regression checks);
 * :class:`~repro.api.events.ProgressEvent` — one streaming progress
   callback (``on_event``) unifying the engine's ``on_node`` hook with
-  the service's long-poll counters.
+  the service's SSE event stream.
 
 New workloads register a grid (:func:`repro.experiments.register`) and
 are immediately runnable on every backend; new execution strategies

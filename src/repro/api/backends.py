@@ -25,7 +25,6 @@ backends — the parity test in ``tests/api`` hash-compares them.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 from ..experiments.engine import run_sweep
@@ -80,10 +79,10 @@ class Backend:
     def run(self, job, timeout: float | None = None) -> BackendOutcome:
         """Block until the job is terminal.
 
-        ``timeout`` bounds the service backend's long-poll (the job
-        keeps running server-side after a :class:`TimeoutError`); the
-        in-process backends execute the sweep in this call and are not
-        preemptible, so they ignore it.
+        ``timeout`` bounds the service backend's wait on the job's
+        event stream (the job keeps running server-side after a
+        :class:`TimeoutError`); the in-process backends execute the
+        sweep in this call and are not preemptible, so they ignore it.
         """
         raise NotImplementedError
 
@@ -228,15 +227,11 @@ class ServiceBackend(Backend):
     Progress arrives by consuming the service's ``/jobs/<id>/events``
     SSE stream — every scheduler-side ``node``/``progress`` event lands
     in the job's ``on_event`` callback push-fashion, no polling loop.
-    If the stream cannot be used (older service, broken transport) the
-    backend degrades to the deprecated ``?wait=`` long-poll.
+    A stream that breaks or ends before the terminal event raises
+    :class:`BackendError`; the job keeps running server-side.
     """
 
     name = "service"
-
-    #: fallback long-poll chunk — short enough to surface progress
-    #: events promptly, long enough not to hammer the service.
-    POLL_CHUNK_S = 2.0
 
     def __init__(
         self,
@@ -319,17 +314,7 @@ class ServiceBackend(Backend):
         if job.job_id is None:
             self.start(job)
         client = self._get_client()
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        view = self._run_streaming(job, client, timeout)
-        if view is None:
-            # The event stream was unavailable or broke mid-job (older
-            # service, proxy stripping the stream, transient socket
-            # error) — the job is still running server-side, so degrade
-            # to the deprecated long-poll loop.
-            view = self._run_longpoll(job, client, deadline)
-        return self._finish(job, view)
+        return self._finish(job, self._run_streaming(job, client, timeout))
 
     def _run_streaming(self, job, client, timeout: float | None):
         """Consume ``/jobs/<id>/events`` until the terminal event.
@@ -339,8 +324,8 @@ class ServiceBackend(Backend):
         skips the stream's ``submitted`` snapshot (:meth:`start`
         already emitted it) and the terminal event itself
         (:meth:`_finish` / ``Job.wait`` own terminal reporting).
-        Returns the job's final view, or None when the stream could
-        not be used and the caller should fall back to long-polling.
+        Returns the job's final view; raises :class:`BackendError` when
+        the stream breaks or ends before the terminal event.
         """
         terminal = False
         try:
@@ -358,44 +343,20 @@ class ServiceBackend(Backend):
             raise TimeoutError(f"job {job.job_id} still {job.status}") \
                 from None
         except Exception as err:
-            # Stream transport failed; fall back to long-polling, but
-            # leave a trace of why the cheap path was abandoned.
+            # Broken transport (proxy stripping the stream, socket
+            # error): the job is still running server-side.
             log_event(
                 "event_stream_error", job_id=job.job_id, error=repr(err)
             )
-            return None
+            raise BackendError(
+                f"event stream for job {job.job_id} broke: {err}"
+            ) from err
         if not terminal:
-            return None  # stream ended early (service shutting down)
-        return client.job(job.job_id)
-
-    def _run_longpoll(self, job, client, deadline):
-        last_progress = None
-        while True:
-            wait = self.POLL_CHUNK_S
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"job {job.job_id} still {job.status}"
-                    )
-                wait = min(remaining, wait)
-            view = client.job(job.job_id, wait=wait)
-            job.status = view["status"]
-            progress = (
-                view.get("nodes_done"), view.get("nodes_total"),
-                view.get("reused"),
+            raise BackendError(
+                f"event stream for job {job.job_id} ended before the "
+                "job finished (service shutting down?)"
             )
-            if progress != last_progress and progress[1] is not None:
-                last_progress = progress
-                job._emit(
-                    "progress",
-                    f"{progress[0]}/{progress[1]} nodes",
-                    nodes_done=progress[0],
-                    nodes_total=progress[1],
-                    reused=progress[2],
-                )
-            if view["status"] in TERMINAL_STATES:
-                return view
+        return client.job(job.job_id)
 
     def _finish(self, job, view) -> BackendOutcome:
         job.status = view["status"]

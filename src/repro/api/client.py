@@ -1,8 +1,8 @@
 """The one front door: ``Client`` + ``Job`` + ``ResultSet``.
 
-Every way of running the reproduction's attacks — the legacy harness
-helpers, the DAG sweep engine, the HTTP attack service — is reachable
-through one object::
+Every way of running the reproduction's attacks — the harness helpers,
+the DAG sweep engine, the HTTP attack service — is reachable through
+one object::
 
     from repro.api import Client
 
@@ -318,7 +318,7 @@ class Job:
     Lifecycle mirrors the service queue: ``queued`` -> ``running`` ->
     ``done`` | ``failed`` | ``cancelled``.  For the in-process backends
     the work runs inside :meth:`wait`; for the service backend the
-    work runs remotely and :meth:`wait` long-polls.
+    work runs remotely and :meth:`wait` follows the job's SSE stream.
     """
 
     def __init__(
@@ -362,10 +362,12 @@ class Job:
 
         Raises :class:`~repro.api.backends.JobCancelled` if the job was
         cancelled and :class:`~repro.api.backends.BackendError` if it
-        failed.  ``timeout`` bounds the service backend's long-poll
-        (:class:`TimeoutError` when it elapses; the job keeps running
-        server-side); the in-process backends execute the sweep inside
-        this call and are not preemptible, so they ignore it.
+        failed (or, on the service backend, if its event stream broke
+        before the end).  ``timeout`` bounds the service backend's wait
+        on the job's event stream (:class:`TimeoutError` when it
+        elapses; the job keeps running server-side); the in-process
+        backends execute the sweep inside this call and are not
+        preemptible, so they ignore it.
         """
         if self._result is not None:
             return self._result

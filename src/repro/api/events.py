@@ -1,13 +1,11 @@
 """Unified progress events for every execution backend.
 
-The three execution paths historically reported progress in three
-unrelated shapes: the sweep engine takes a ``progress(str)`` hook plus
-an ``on_node(node, value, seconds)`` callback, the service journals
-per-job node counters that clients read back over a long-poll, and the
-legacy harnesses printed strings.  The facade narrows all of them to
-one callable — ``on_event(event)`` — with a small, stable vocabulary
-of event kinds, so a caller observing an inline run and a caller
-long-polling a remote service write the same handler.
+The sweep engine reports progress through a ``progress(str)`` hook
+plus an ``on_node(node, value, seconds)`` callback; the service
+streams per-job events over SSE.  The facade narrows both to one
+callable — ``on_event(event)`` — with a small, stable vocabulary of
+event kinds, so a caller observing an inline run and a caller
+streaming a remote service's job write the same handler.
 
 Event kinds
 -----------
@@ -23,7 +21,7 @@ Event kinds
     closest the service's counters can be mapped onto).
 ``progress``
     Per-job node counters changed (``nodes_done``/``nodes_total``/
-    ``reused``) — the service long-poll's native shape; the in-process
+    ``reused``) — the service stream's native shape; the in-process
     backends emit one summary after the sweep finishes (their
     node-level granularity arrives as ``node`` events instead).
 ``done`` / ``failed`` / ``cancelled``
@@ -97,8 +95,8 @@ def progress_adapter(progress):
     """Wrap a legacy ``progress(str)`` hook as an ``on_event`` callable.
 
     Only ``message`` events are forwarded — exactly the strings the
-    hook used to receive from the engine — so shimmed harness entry
-    points keep their historical output.
+    engine's hook emits — so the harness entry points keep their
+    historical progress output.
     """
     if progress is None:
         return None

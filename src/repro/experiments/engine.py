@@ -135,9 +135,9 @@ class SweepResult:
 def evaluate_scenario(spec: ScenarioSpec) -> ScenarioRecord:
     """Run one scenario end-to-end and return its record.
 
-    Uses exactly the primitives the legacy harnesses use (cached
-    layouts/splits, ``trained_attack``, the timeout wrapper), so a
-    scenario's CCR is identical to the corresponding harness cell.
+    Uses the attack primitives directly (cached layouts/splits,
+    ``trained_attack``, the timeout wrapper); the harness parity tests
+    check the CCRs against an oracle built from the same primitives.
     """
     d = spec.defense
     layout = get_defended_layout(spec.design, d.kind, d.strength, d.seed)
@@ -268,8 +268,6 @@ def run_node(kind: str, payload: tuple):
     value = _NODE_JOBS[kind](*payload)
     return kind, value, time.perf_counter() - started
 
-
-_node_job = run_node  # historical name
 
 
 # -- planning -----------------------------------------------------------
@@ -478,8 +476,8 @@ def run_sweep(
 
     Results for all specs — freshly evaluated and store-resolved — come
     back in spec order.  ``workers`` / ``REPRO_WORKERS`` fan each DAG
-    level out over worker processes (requires the disk cache, exactly
-    like the legacy harnesses' parallel paths); pass a long-lived
+    level out over worker processes (requires the disk cache: workers
+    share artifacts through it); pass a long-lived
     :class:`~repro.pipeline.parallel.Executor` instead to reuse one
     pool across many sweeps.  ``on_node(node, value, seconds)`` fires
     after every completed node — the service scheduler's telemetry

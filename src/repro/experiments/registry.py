@@ -2,10 +2,10 @@
 
 A *grid* is a function from a few parameters to a list of
 :class:`~repro.experiments.spec.ScenarioSpec` — the declarative form of
-an experiment campaign.  The legacy harnesses live here as registry
-entries (``table3``, ``figure5``, ``defense-sweep``) that reproduce
-their outputs exactly, alongside grids the bespoke harnesses never
-offered (``attack-matrix``, ``cross-defense``).  Registering a new
+an experiment campaign.  The paper's harnesses are registry entries
+(``table3``, ``figure5``, ``defense-sweep``) that ``run_table3`` and
+friends execute, alongside grids with no bespoke harness
+(``attack-matrix``, ``cross-defense``).  Registering a new
 grid is the only step needed to make a new campaign runnable from the
 CLI (``python -m repro sweep <name>``) and queryable from the results
 store.

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from itertools import islice
 
 from ...core.atomic import atomic_append_line
@@ -46,6 +47,9 @@ class JsonlStorageBackend(StorageBackend):
         self._latest: dict[str, ScenarioRecord] = {}
         self._offset = 0  # journal bytes folded so far
         self._ino = -1  # detects rewrites (os.replace / truncation)
+        # Serialises folds: two threads reading the same tail would
+        # both advance the offset and skip lines appended after it.
+        self._fold_lock = threading.Lock()
         self.reload_tail()
 
     # -- journal fold --------------------------------------------------
@@ -58,6 +62,10 @@ class JsonlStorageBackend(StorageBackend):
     def reload_tail(self) -> int:
         """Fold lines appended since the last read (one ``stat`` when
         nothing changed); full re-fold when the file was rewritten."""
+        with self._fold_lock:
+            return self._fold_tail()
+
+    def _fold_tail(self) -> int:
         try:
             stat = os.stat(self.path)
         except OSError:

@@ -14,7 +14,7 @@ from .flow import (
     get_split,
     trained_attack,
 )
-from .parallel import Executor, parallel_map, resolve_workers
+from .parallel import Executor, resolve_workers
 
 __all__ = [
     "Executor",
@@ -28,7 +28,6 @@ __all__ = [
     "get_defended_split",
     "get_layout",
     "get_split",
-    "parallel_map",
     "resolve_workers",
     "trained_attack",
 ]

@@ -1,20 +1,20 @@
 """Multi-process fan-out for the experiment pipeline.
 
-The evaluation suites (Table 3, Figure 5, the defense sweeps) decompose
-into independent cells — build-layout -> split -> train -> evaluate per
-(design, split layer) or per (variant, design) — whose only shared
-state is the deterministic disk cache of :mod:`repro.pipeline.flow`
-(layouts as DEF text, trained models as npz, feature tensors under
-``features/``).  That makes process-level parallelism safe: every
-worker recomputes-or-loads through the same cache keys, and cache
-writes are atomic, so the fan-out needs no locks and produces results
-identical to the serial path.
+The DAG sweep engine (:mod:`repro.experiments.engine`) runs each plan
+level — layout, features, train and eval nodes — as a batch of
+independent jobs whose only shared state is the deterministic disk
+cache of :mod:`repro.pipeline.flow` (layouts as DEF text, trained
+models as npz, feature tensors under ``features/``).  That makes
+process-level parallelism safe: every worker recomputes-or-loads
+through the same cache keys, and cache writes are atomic, so the
+fan-out needs no locks and produces results identical to a serial run.
 
 Knobs
 -----
-* ``workers=`` parameter on :func:`parallel_map` and the harness entry
-  points (``run_table3``, ``run_figure5``, ``run_defense_sweep``, the
-  CLI ``--workers`` flags);
+* ``workers=`` on :class:`Executor`, on :class:`repro.api.Client`
+  (local backend), on the harness entry points (``run_table3``,
+  ``run_figure5``, ``run_defense_sweep``) and the CLI ``--workers``
+  flags;
 * ``REPRO_WORKERS`` environment variable — the default when
   ``workers`` is None (unset/empty means serial);
 * ``workers=0`` means "one per CPU core".
@@ -34,7 +34,7 @@ from typing import Any, Callable, Sequence
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-__all__ = ["Executor", "parallel_map", "resolve_workers"]
+__all__ = ["Executor", "resolve_workers"]
 
 
 def _batch_metrics():
@@ -94,12 +94,11 @@ def _mp_context():
 class Executor:
     """Reusable fan-out handle: one process pool across many ``map`` calls.
 
-    ``parallel_map`` spins a pool up and tears it down per call, which
-    is fine for a one-shot harness but wasteful for a long-running
-    caller (the attack service dispatches hundreds of small node
-    batches).  An :class:`Executor` resolves its worker count once and
-    keeps the pool alive until :meth:`close`; with an effective worker
-    count of 1 it never creates a pool at all, so serial behaviour and
+    A long-running caller (the attack service dispatches hundreds of
+    small node batches) must not pay a pool start-up per batch, so an
+    :class:`Executor` resolves its worker count once and keeps the
+    pool alive until :meth:`close`.  With an effective worker count of
+    1 it never creates a pool at all, so serial behaviour and
     determinism match the plain in-process path exactly.
 
     Usable as a context manager.  Not thread-safe for concurrent
@@ -192,20 +191,3 @@ class Executor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def parallel_map(
-    fn: Callable[..., Any],
-    jobs: Sequence[tuple],
-    workers: int | None = None,
-    progress: Callable[[str], None] | None = None,
-    label: str = "jobs",
-) -> list[Any]:
-    """Run ``fn(*job)`` for every job, preserving job order in the result.
-
-    With an effective worker count of 1 (the default), runs in-process
-    with no multiprocessing machinery at all.  ``fn`` must be a
-    module-level callable and the job tuples picklable when running
-    with more than one worker.  One-shot form of :class:`Executor`.
-    """
-    with Executor(workers) as executor:
-        return executor.map(fn, jobs, progress=progress, label=label)

@@ -3,8 +3,8 @@
 :class:`ServiceClient` wraps the service endpoints (submit, status,
 events, cancel, results, health) with plain ``urllib.request`` (stdlib
 only, like the server).  :meth:`ServiceClient.events` consumes the
-``GET /jobs/<id>/events`` SSE stream as an iterator of event dicts —
-the push-based replacement for the ``wait=`` long-poll.  :func:`run_load`
+``GET /jobs/<id>/events`` SSE stream as an iterator of event dicts,
+the one way to follow a job to completion.  :func:`run_load`
 replays a stream of submissions at configurable thread concurrency and
 reports latency percentiles — the measurement half of the service
 acceptance bar (``scripts/bench_service.py`` drives it).
@@ -75,11 +75,8 @@ class ServiceClient:
             payload["specs"] = specs
         return self._request("POST", "/jobs", payload)
 
-    def job(self, job_id: str, wait: float | None = None) -> dict:
-        path = f"/jobs/{job_id}"
-        if wait is not None:
-            path += f"?wait={wait:g}"
-        return self._request("GET", path)
+    def job(self, job_id: str) -> dict:
+        return self._request("GET", f"/jobs/{job_id}")
 
     def jobs(self) -> list[dict]:
         return self._request("GET", "/jobs")["jobs"]
@@ -89,18 +86,12 @@ class ServiceClient:
         return self._request("DELETE", f"/jobs/{job_id}")
 
     def wait(self, job_id: str, timeout: float = 300.0) -> dict:
-        """Long-poll until the job is terminal; raises on timeout."""
-        deadline = time.monotonic() + timeout
-        # Each long-poll chunk stays well under the HTTP timeout so the
-        # server's response always beats the socket deadline.
-        chunk = max(1.0, self.timeout / 2)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"job {job_id} still running")
-            view = self.job(job_id, wait=min(remaining, chunk))
-            if view["status"] in ("done", "failed", "cancelled"):
-                return view
+        """Follow the job's event stream to its end, then return the
+        job view (records embedded when done); raises
+        :class:`TimeoutError` when the stream outlives ``timeout``."""
+        for _event in self.events(job_id, timeout=timeout):
+            pass
+        return self.job(job_id)
 
     def events(self, job_id: str, timeout: float | None = None):
         """Iterate one job's SSE stream as parsed event dicts.

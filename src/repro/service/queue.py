@@ -26,7 +26,7 @@ The in-memory view is a pure fold over the journal, which buys:
   ``repro serve`` processes — share one journal safely.
 * **cancellation** — :meth:`JobQueue.cancel` appends a ``cancel``
   event; the scheduler drops the job's pending nodes on its next
-  iteration and the long-poll returns immediately.
+  iteration and open event streams end with a ``cancelled`` event.
 * **bounded growth** — :meth:`JobQueue.compact` drops terminal jobs
   older than a TTL and atomically rewrites the journal as one
   state-snapshot event per surviving job, *preserving live lease and
@@ -110,11 +110,6 @@ DEFAULT_COMPACT_TTL_S = 7 * 24 * 3600.0
 #: default claim lease: a claimant that fails to heartbeat for this
 #: long is presumed dead and its jobs become requeue-able.
 DEFAULT_LEASE_S = 30.0
-
-#: chunk for condition waits inside :meth:`JobQueue.wait` — bounds how
-#: stale a long-poll can be about events appended by *other processes*
-#: (in-process writers notify the condition directly).
-_WAIT_CHUNK_S = 0.5
 
 #: process-wide submission counter: with the pid it makes job ids
 #: unique across every queue instance sharing a journal (a per-queue
@@ -207,8 +202,10 @@ class JobQueue:
     Thread-safe; every mutation appends a journal event and then folds
     the journal tail back in (so concurrent writers in *other
     processes* are observed before the outcome is reported), and
-    :class:`threading.Condition` waiters (the long-poll handlers and
-    the schedulers) are notified on every state change.
+    :class:`threading.Condition` waiters (the schedulers) are notified
+    on every state change.  Each notification also bumps
+    :attr:`changes`, so a waiter that read the counter before its last
+    look at the queue can tell, under the lock, whether it missed one.
 
     ``clock`` (default :func:`time.time`) supplies every timestamp —
     lease expiry in particular — so tests can drive time
@@ -231,12 +228,19 @@ class JobQueue:
         self._ino = -1  # detects compaction's os.replace
         self._lock = threading.RLock()
         self.changed = threading.Condition(self._lock)
+        #: bumped with every ``changed`` notification (see _notify)
+        self.changes = 0
         with self._lock:
             if recover:
                 self._seal_torn_tail()
             self._refresh()
             if recover:
                 self._recover()
+
+    def _notify(self) -> None:
+        """Record a state change and wake every waiter (lock held)."""
+        self.changes += 1
+        self.changed.notify_all()
 
     # -- journal -------------------------------------------------------
     def _append(self, event: dict) -> None:
@@ -490,7 +494,7 @@ class JobQueue:
                 job.reused = len(hashes)
                 job.finished_at = job.submitted_at
             self._journal({"event": "submit", "job": job.to_dict()})
-            self.changed.notify_all()
+            self._notify()
             outcome = "from_store" if from_store else "queued"
             _queue_metrics()[0].labels(outcome=outcome).inc()
             log_event(
@@ -528,7 +532,7 @@ class JobQueue:
                 ]
                 if not queued:
                     if requeued:
-                        self.changed.notify_all()
+                        self._notify()
                     return None
                 job = min(
                     queued,
@@ -541,7 +545,7 @@ class JobQueue:
                     "at": self.clock(),
                     "lease_s": float(lease_s),
                 })
-                self.changed.notify_all()
+                self._notify()
                 claimed = self._jobs.get(job.job_id)
                 if (
                     claimed is not None
@@ -605,7 +609,7 @@ class JobQueue:
             self._refresh()
             requeued = self._requeue_expired_locked("lease-expired")
             if requeued:
-                self.changed.notify_all()
+                self._notify()
             return requeued
 
     def progress(
@@ -621,7 +625,7 @@ class JobQueue:
                 "nodes_done": nodes_done, "nodes_total": nodes_total,
                 "reused": reused,
             })
-            self.changed.notify_all()
+            self._notify()
 
     def complete(self, job_id: str, telemetry: dict | None = None) -> None:
         with self._lock:
@@ -629,7 +633,7 @@ class JobQueue:
                 "event": "done", "job_id": job_id,
                 "telemetry": telemetry or {}, "at": self.clock(),
             })
-            self.changed.notify_all()
+            self._notify()
             job = self._jobs.get(job_id)
             log_event(
                 "job_done", job_id=job_id,
@@ -642,7 +646,7 @@ class JobQueue:
                 "event": "failed", "job_id": job_id, "error": error,
                 "at": self.clock(),
             })
-            self.changed.notify_all()
+            self._notify()
             job = self._jobs.get(job_id)
             log_event(
                 "job_failed", job_id=job_id, error=error,
@@ -666,7 +670,7 @@ class JobQueue:
             self._journal({
                 "event": "cancel", "job_id": job_id, "at": self.clock(),
             })
-            self.changed.notify_all()
+            self._notify()
             job = self._jobs.get(job_id)
             return job is not None and job.status == "cancelled"
 
@@ -722,7 +726,7 @@ class JobQueue:
                 self._offset = len(snapshot.encode("utf-8"))
             except OSError:
                 self._ino, self._offset = -1, 0
-            self.changed.notify_all()
+            self._notify()
             return dropped
 
     # -- queries -------------------------------------------------------
@@ -744,30 +748,3 @@ class JobQueue:
     def running(self) -> list[Job]:
         """Jobs currently claimed under a lease (for ``/healthz``)."""
         return [j for j in self.jobs() if j.status == "running"]
-
-    def wait(self, job_id: str, timeout: float | None = None) -> Job | None:
-        """Block until the job reaches a terminal state (long-poll).
-
-        Waits in bounded chunks and re-folds the journal between them,
-        so a terminal event appended by *another process* is observed
-        within :data:`_WAIT_CHUNK_S` even though it never notifies this
-        process's condition.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self.changed:
-            while True:
-                self._refresh()
-                job = self._jobs.get(job_id)
-                if job is None or job.done:
-                    return job
-                remaining = (
-                    None if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return job
-                chunk = (
-                    _WAIT_CHUNK_S if remaining is None
-                    else min(remaining, _WAIT_CHUNK_S)
-                )
-                self.changed.wait(chunk)

@@ -321,6 +321,11 @@ class SweepScheduler:
         try:
             while not self._stop.is_set():
                 self.last_activity_monotonic = time.monotonic()
+                # Read the change counter before the claim pass: a
+                # submit that lands between the pass and the wait
+                # below has already notified, so only an unchanged
+                # counter may wait (else the wakeup would be lost).
+                seen = self.queue.changes
                 self._abandon_lost()
                 self._claim_all()
                 self._drop_cancelled()
@@ -329,7 +334,10 @@ class SweepScheduler:
                     self._run_batch(batch)
                     continue
                 with self.queue.changed:
-                    if not self._stop.is_set():
+                    if (
+                        not self._stop.is_set()
+                        and self.queue.changes == seen
+                    ):
                         self.queue.changed.wait(self.poll_interval)
         except SchedulerCrashed:
             self._crashed = True  # fault injection: die silently

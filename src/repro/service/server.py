@@ -13,11 +13,11 @@ framework, no new dependencies.  Endpoints:
 ``GET /jobs``
     All jobs, newest last.
 
-``GET /jobs/<id>[?wait=SECONDS]``
-    One job's status with per-node progress.  ``wait`` long-polls until
-    the job is terminal (or the timeout passes); a finished job's
-    response embeds its scenario records.  (Long-poll is the
-    deprecated fallback — stream ``/jobs/<id>/events`` instead.)
+``GET /jobs/<id>``
+    One job's status with per-node progress; answers at once.  A
+    finished job's response embeds its scenario records.  To wait for
+    a job, stream ``/jobs/<id>/events``; the removed ``wait`` long-poll
+    query parameter is rejected with a 400 that says so.
 
 ``GET /jobs/<id>/events``
     Server-sent event stream of the job's lifecycle: ``submitted``,
@@ -91,7 +91,6 @@ from .queue import DEFAULT_COMPACT_TTL_S, DEFAULT_LEASE_S, Job, JobQueue
 from .scheduler import SweepScheduler
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
-MAX_WAIT_S = 60.0
 #: /debug/profile bounds: the handler thread blocks for the window, so
 #: both knobs are capped against griefing a shared service.
 MAX_PROFILE_S = 30.0
@@ -289,11 +288,8 @@ class AttackService:
         )
         return {"outcome": outcome, "job": self._job_view(job)}
 
-    def job_status(self, job_id: str, wait: float | None = None) -> dict:
-        if wait is not None:
-            job = self.queue.wait(job_id, timeout=min(wait, MAX_WAIT_S))
-        else:
-            job = self.queue.get(job_id)
+    def job_status(self, job_id: str) -> dict:
+        job = self.queue.get(job_id)
         if job is None:
             raise ServiceError(404, f"unknown job {job_id!r}")
         view = self._job_view(job)
@@ -404,11 +400,14 @@ class AttackService:
         never reach this process's bus) and dedups against whatever the
         bus already delivered.
         """
-        job = self.queue.get(job_id)
-        if job is None:
-            raise ServiceError(404, f"unknown job {job_id!r}")
+        # Subscribe before the snapshot: a terminal event published
+        # between the two would otherwise reach no one, and the stream
+        # would sit out a quiet poll chunk before noticing.
         subscription = self._subscribe(job_id)
         try:
+            job = self.queue.get(job_id)
+            if job is None:
+                raise ServiceError(404, f"unknown job {job_id!r}")
             yield {
                 "kind": "submitted",
                 "message": (
@@ -809,7 +808,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except ServiceError as err:
             self._send_json({"error": str(err)}, status=err.status)
         except ConnectionError:
-            pass  # client gave up on a long-poll / event stream
+            pass  # client gave up on an event stream
         except Exception as err:  # never take the server thread down
             log_event(
                 "request_error", path=self.path, error=repr(err)
@@ -881,16 +880,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._stream_events(job_id)
             elif path.startswith("/jobs/"):
                 job_id = path[len("/jobs/"):]
-                wait = query.get("wait")
-                self._send_json(
-                    self.service.job_status(
-                        job_id,
-                        wait=(
-                            _client_number(wait[0], float, "wait")
-                            if wait else None
-                        ),
+                if "wait" in query:
+                    raise ServiceError(
+                        400,
+                        "the 'wait' long-poll parameter was removed; stream "
+                        f"/jobs/{job_id}/events until the terminal event",
                     )
-                )
+                self._send_json(self.service.job_status(job_id))
             elif path == "/results":
                 self._send_json(self.service.query_results(query))
             else:

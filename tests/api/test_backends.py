@@ -7,7 +7,7 @@ into its own fresh results store, and the resulting
 wall-clock-dependent fields (runtimes and telemetry) — everything a
 caller acts on must be bit-identical regardless of how the job was
 executed.  This test also drives ``Client(backend="service")`` fully
-end-to-end (spawned service, HTTP submit, long-poll) and is the CI
+end-to-end (spawned service, HTTP submit, SSE stream) and is the CI
 smoke step for the service; it must finish in well under 10 s.
 """
 
@@ -165,3 +165,44 @@ def test_service_backend_resubmission_answers_from_store(
         assert again.outcome == "from_store"
         result = again.wait(timeout=30.0)
         assert len(result.records) == 2
+
+
+def _cut_stream(self, job_id, timeout=None):
+    raise ConnectionResetError("stream cut")
+    yield  # a generator, like the real events()
+
+
+def _short_stream(self, job_id, timeout=None):
+    yield {"kind": "submitted", "job_id": job_id, "data": {}}
+
+
+@pytest.mark.parametrize(
+    "events, logged",
+    [(_cut_stream, ["event_stream_error"]), (_short_stream, [])],
+    ids=["broken", "ended-early"],
+)
+def test_service_backend_stream_failure_raises(
+    warm_cache, monkeypatch, events, logged
+):
+    """SSE is the only transport: a stream that breaks or ends before
+    the terminal event raises instead of degrading to polling."""
+    from repro.api import BackendError
+    from repro.api import backends as backends_mod
+    from repro.service.client import ServiceClient
+
+    seen = []
+    monkeypatch.setattr(
+        backends_mod, "log_event", lambda name, **fields: seen.append(name)
+    )
+    monkeypatch.setattr(ServiceClient, "events", events)
+    results_dir = warm_cache / "svc"
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(results_dir))
+    with Client(
+        backend="service",
+        store=results_dir / "experiments.jsonl",
+        queue_path=results_dir / "queue.jsonl",
+    ) as client:
+        job = client.submit(GOLDEN_SPECS)
+        with pytest.raises(BackendError, match="event stream"):
+            job.wait(timeout=30.0)
+    assert seen == logged

@@ -33,19 +33,25 @@ TRAIN = ("tiny_a", "tiny_b")
 
 class TestTable3Harness:
     @pytest.fixture(scope="class")
-    def report(self):
-        # class-scoped: one training run for all assertions
-        from repro.pipeline import trained_attack
-
-        attack = trained_attack(3, TINY, train_names=TRAIN, use_disk_cache=False)
-        return run_table3(
-            designs=["tiny_seq"],
-            split_layers=(3,),
-            config=TINY,
-            flow_timeout_s=30.0,
-            use_disk_cache=False,
-            attacks={3: attack},
+    def report(self, tmp_path_factory):
+        # class-scoped: one training run for all assertions, in a cache
+        # of its own (class fixtures run before the per-test one)
+        patcher = pytest.MonkeyPatch()
+        patcher.setenv(
+            "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("table3_cache"))
         )
+        clear_memo()
+        try:
+            yield run_table3(
+                designs=["tiny_seq"],
+                split_layers=(3,),
+                config=TINY,
+                train_names=TRAIN,
+                flow_timeout_s=30.0,
+            )
+        finally:
+            patcher.undo()
+            clear_memo()
 
     def test_row_per_design_and_layer(self, report):
         assert len(report.rows) == 1
@@ -113,7 +119,6 @@ class TestFigure5Harness:
             split_layer=3,
             config=TINY,
             train_names=TRAIN,
-            use_disk_cache=False,
         )
         assert [r.variant for r in report.results] == [
             "two-class", "vec", "vec&img",

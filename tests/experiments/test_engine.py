@@ -1,17 +1,30 @@
 """Sweep engine: planning, artifact reuse, resume, harness parity.
 
 All tests run on the tiny corpus with per-test isolated caches; the
-parity tests assert the registry-driven entries reproduce the direct
-harnesses' CCRs exactly (acceptance criterion of the experiments
-subsystem).
+parity tests assert the harness entry points reproduce, exactly, CCRs
+computed by a short in-test oracle over the attack primitives
+(acceptance criterion of the experiments subsystem).
 """
 
 import pytest
 
+from repro.attacks import NetworkFlowAttack, ProximityAttack
 from repro.core import AttackConfig
 from repro.core.attack import DLAttack
-from repro.defense import run_defense_sweep
-from repro.eval import run_figure5, run_table3
+from repro.defense import (
+    DefenseCell,
+    DefenseSweepReport,
+    lifted_layout,
+    perturbed_layout,
+    run_defense_sweep,
+)
+from repro.eval import (
+    VARIANTS,
+    run_figure5,
+    run_table3,
+    run_with_timeout,
+    variant_config,
+)
 from repro.experiments import (
     DefenseSpec,
     ResultsStore,
@@ -20,7 +33,15 @@ from repro.experiments import (
     plan_sweep,
     run_sweep,
 )
-from repro.pipeline import clear_memo
+from repro.layout.design import build_layout
+from repro.pipeline import (
+    build_netlist,
+    clear_memo,
+    get_split,
+    trained_attack,
+)
+from repro.split import ccr
+from repro.split.split import split_design
 
 TINY = AttackConfig.tiny().with_(epochs=2)
 TRAIN = ("tiny_a", "tiny_b")
@@ -205,26 +226,89 @@ class TestExecution:
         assert store.get(spec).status == "timeout"
 
 
+def oracle_table3_row(design, layer, flow_timeout_s):
+    """One Table 3 cell computed straight from the attack primitives:
+    the flow attack under its budget and the DL attack on one split."""
+    split = get_split(design, layer)
+    timed = run_with_timeout(
+        lambda: NetworkFlowAttack().attack(split), flow_timeout_s
+    )
+    dl = trained_attack(layer, TINY, train_names=TRAIN)
+    return {
+        "n_sink_fragments": len(split.sink_fragments),
+        "n_source_fragments": len(split.source_fragments),
+        "ccr_flow": (
+            None if timed.timed_out else ccr(split, timed.value.assignment)
+        ),
+        "ccr_dl": ccr(split, dl.attack(split).assignment),
+    }
+
+
+def oracle_figure5_ccrs(design, layer):
+    """Per-variant CCR on one design, inference cache-free."""
+    split = get_split(design, layer)
+    out = {}
+    for variant in VARIANTS:
+        attack = trained_attack(
+            layer, variant_config(TINY, variant), train_names=TRAIN
+        )
+        attack.use_disk_cache = False
+        out[variant] = {design: ccr(split, attack.attack(split).assignment)}
+    return out
+
+
+def oracle_defense_report(design, layer, perturbations, lift_fractions):
+    """The defense sweep built layout by layout from the primitives."""
+    netlist = build_netlist(design)
+    points = [("baseline", 0.0, "undefended", build_layout(netlist))]
+    points += [
+        ("perturb", s, f"perturb +-{s:.0f} tracks",
+         perturbed_layout(netlist, strength=s))
+        for s in perturbations
+    ]
+    points += [
+        ("lift", f, f"lift {int(100 * f)}% of nets",
+         lifted_layout(netlist, lift_fraction=f))
+        for f in lift_fractions
+    ]
+    report = DefenseSweepReport(design=design, split_layer=layer)
+    for kind, strength, label, layout in points:
+        split = split_design(layout, layer)
+        report.cells.append(DefenseCell(
+            label=label,
+            kind=kind,
+            strength=strength,
+            n_sink_fragments=len(split.sink_fragments),
+            hidden_pins=split.n_hidden_sink_pins,
+            ccr_proximity=ccr(
+                split, ProximityAttack().attack(split).assignment
+            ),
+            ccr_flow=ccr(
+                split, NetworkFlowAttack().attack(split).assignment
+            ),
+            wirelength=layout.total_wirelength(),
+        ))
+    return report
+
+
 class TestHarnessParity:
-    """Registry-driven entries must reproduce the direct harness CCRs."""
+    """The harness entry points (thin ``Client`` calls into the engine)
+    must reproduce CCRs computed directly from the attack primitives."""
 
     def test_table3_parity(self, tmp_path):
-        direct = run_table3(
-            designs=["tiny_seq"], split_layers=(3,), config=TINY,
-            train_names=TRAIN, flow_timeout_s=30.0,
-        )
+        direct = oracle_table3_row("tiny_seq", 3, flow_timeout_s=30.0)
         store = ResultsStore(tmp_path / "exp.jsonl")
         engine = run_table3(
             designs=["tiny_seq"], split_layers=(3,), config=TINY,
             train_names=TRAIN, flow_timeout_s=30.0, store=store,
         )
-        assert len(engine.rows) == len(direct.rows) == 1
-        d, e = direct.rows[0], engine.rows[0]
-        assert (e.design, e.split_layer) == (d.design, d.split_layer)
-        assert e.n_sink_fragments == d.n_sink_fragments
-        assert e.n_source_fragments == d.n_source_fragments
-        assert e.ccr_dl == d.ccr_dl
-        assert e.ccr_flow == d.ccr_flow
+        assert len(engine.rows) == 1
+        e = engine.rows[0]
+        assert (e.design, e.split_layer) == ("tiny_seq", 3)
+        assert e.n_sink_fragments == direct["n_sink_fragments"]
+        assert e.n_source_fragments == direct["n_source_fragments"]
+        assert e.ccr_dl == direct["ccr_dl"]
+        assert e.ccr_flow == direct["ccr_flow"]
         assert "tiny_seq" in engine.render()
         # and the engine run is resumable: nothing re-executes
         again = run_table3(
@@ -235,21 +319,16 @@ class TestHarnessParity:
         assert len(store.history()) == 2  # flow + dl, appended once
 
     def test_figure5_parity(self, tmp_path):
-        direct = run_figure5(
-            designs=["tiny_seq"], split_layer=3, config=TINY,
-            train_names=TRAIN,
-        )
+        direct = oracle_figure5_ccrs("tiny_seq", 3)
         store = ResultsStore(tmp_path / "exp.jsonl")
         engine = run_figure5(
             designs=["tiny_seq"], split_layer=3, config=TINY,
             train_names=TRAIN, store=store,
         )
-        assert [r.variant for r in engine.results] == [
-            r.variant for r in direct.results
-        ]
-        for d, e in zip(direct.results, engine.results):
-            assert e.per_design_ccr == d.per_design_ccr
-            assert e.avg_ccr == d.avg_ccr
+        assert [r.variant for r in engine.results] == list(VARIANTS)
+        for e in engine.results:
+            assert e.per_design_ccr == direct[e.variant]
+            assert e.avg_ccr == direct[e.variant]["tiny_seq"]
             assert e.avg_inference_s > 0
 
     def test_defense_parity(self, tmp_path):
@@ -257,7 +336,7 @@ class TestHarnessParity:
             split_layer=3, perturbations=(4.0,), lift_fractions=(0.5,),
             with_flow=True,
         )
-        direct = run_defense_sweep("tiny_a", **kwargs)
+        direct = oracle_defense_report("tiny_a", 3, (4.0,), (0.5,))
         store = ResultsStore(tmp_path / "exp.jsonl")
         engine = run_defense_sweep("tiny_a", store=store, **kwargs)
         assert [c.label for c in engine.cells] == [

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import AttackConfig
 from repro.eval import run_table3
-from repro.pipeline import clear_memo, parallel_map, resolve_workers
+from repro.pipeline import Executor, clear_memo, resolve_workers
 from repro.pipeline.parallel import _square_probe
 
 
@@ -40,27 +40,31 @@ class TestResolveWorkers:
             resolve_workers(None)
 
 
-class TestParallelMap:
+class TestExecutorMap:
     def test_serial_path(self):
-        assert parallel_map(_square_probe, [(i,) for i in range(5)]) == [
-            0, 1, 4, 9, 16,
-        ]
+        with Executor() as executor:
+            assert executor.map(
+                _square_probe, [(i,) for i in range(5)]
+            ) == [0, 1, 4, 9, 16]
 
     def test_parallel_preserves_order(self):
         jobs = [(i,) for i in range(8)]
-        assert parallel_map(_square_probe, jobs, workers=4) == [
-            i * i for i in range(8)
-        ]
+        with Executor(4) as executor:
+            assert executor.map(_square_probe, jobs) == [
+                i * i for i in range(8)
+            ]
 
     def test_progress_callback(self):
         seen = []
-        parallel_map(
-            _square_probe, [(1,), (2,)], workers=2, progress=seen.append
-        )
+        with Executor(2) as executor:
+            executor.map(
+                _square_probe, [(1,), (2,)], progress=seen.append
+            )
         assert len(seen) == 2
 
     def test_empty_jobs(self):
-        assert parallel_map(_square_probe, [], workers=4) == []
+        with Executor(4) as executor:
+            assert executor.map(_square_probe, []) == []
 
 
 class TestSerialParallelParity:

@@ -55,8 +55,20 @@ def prox(design, **kw):
     return ScenarioSpec(design=design, split_layer=3, attack="proximity", **kw)
 
 
+def poll(queue, job_id, timeout=30.0):
+    """Re-read the journal until the job is terminal or ``timeout``
+    passes; returns the job (None when unknown)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        queue.refresh()
+        job = queue.get(job_id)
+        if job is None or job.done or time.monotonic() >= deadline:
+            return job
+        time.sleep(0.005)
+
+
 def wait_done(queue, job_id, timeout=30.0):
-    job = queue.wait(job_id, timeout=timeout)
+    job = poll(queue, job_id, timeout=timeout)
     assert job is not None and job.done, f"job stuck: {job and job.status}"
     return job
 
@@ -231,9 +243,9 @@ class TestSharedJournal:
         # ... but once w1's claim line is down, q2 must lose the race.
         assert q2.claim(worker="w2", lease_s=LEASE) is None
         assert q2.get(job.job_id).claimed_by == "w1"
-        # Terminal events propagate the same way (wait() re-tails).
+        # Terminal events propagate the same way (reads re-tail).
         q1.complete(job.job_id, telemetry={"executed": 1})
-        done = q2.wait(job.job_id, timeout=2.0)
+        done = poll(q2, job.job_id, timeout=2.0)
         assert done.status == "done"
         assert done.telemetry == {"executed": 1}
 

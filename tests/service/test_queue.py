@@ -2,6 +2,7 @@
 cancellation, compaction."""
 
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,18 @@ from repro.service import JobQueue
 
 def prox(design, **kw):
     return ScenarioSpec(design=design, split_layer=3, attack="proximity", **kw)
+
+
+def poll(queue, job_id, timeout=0.01):
+    """Re-read the journal until the job is terminal or ``timeout``
+    passes; returns the job (None when unknown)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        queue.refresh()
+        job = queue.get(job_id)
+        if job is None or job.done or time.monotonic() >= deadline:
+            return job
+        time.sleep(0.005)
 
 
 @pytest.fixture()
@@ -157,10 +170,10 @@ class TestPersistence:
         assert job.status == "cancelled" and job.done
         assert job.finished_at > 0
         # Terminal: a second cancel is a no-op, the scheduler never
-        # claims it, and the long-poll returns immediately.
+        # claims it, and a status poll sees it terminal at once.
         assert queue.cancel(job.job_id) is False
         assert queue.claim() is None
-        assert queue.wait(job.job_id, timeout=0.01).status == "cancelled"
+        assert poll(queue, job.job_id).status == "cancelled"
         # A replaying reader converges on the cancellation and does not
         # requeue the job.
         reloaded = JobQueue(queue_path)
@@ -184,10 +197,10 @@ class TestPersistence:
     def test_wait_times_out_then_completes(self, queue_path):
         queue = JobQueue(queue_path)
         job, _ = queue.submit([prox("tiny_a")])
-        assert queue.wait(job.job_id, timeout=0.01).status == "queued"
+        assert poll(queue, job.job_id).status == "queued"
         queue.claim()
         queue.complete(job.job_id)
-        assert queue.wait(job.job_id, timeout=0.01).status == "done"
+        assert poll(queue, job.job_id).status == "done"
 
 
 class TestCompaction:

@@ -26,8 +26,20 @@ def prox(design, **kw):
     return ScenarioSpec(design=design, split_layer=3, attack="proximity", **kw)
 
 
+def poll(queue, job_id, timeout=30.0):
+    """Re-read the journal until the job is terminal or ``timeout``
+    passes; returns the job (None when unknown)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        queue.refresh()
+        job = queue.get(job_id)
+        if job is None or job.done or time.monotonic() >= deadline:
+            return job
+        time.sleep(0.005)
+
+
 def wait_done(queue, job_id, timeout=30.0):
-    job = queue.wait(job_id, timeout=timeout)
+    job = poll(queue, job_id, timeout=timeout)
     assert job is not None and job.done, f"job stuck: {job and job.status}"
     return job
 
@@ -250,3 +262,39 @@ class TestPriority:
             if '"claim"' in line
         ]
         assert high.job_id in events[0]
+
+
+class TestWakeup:
+    def test_submit_between_claim_pass_and_wait_is_not_lost(
+        self, tmp_path
+    ):
+        """A submit that lands after the loop's claim pass but before
+        its condition wait has already notified; the loop must notice
+        (via the queue's change counter) instead of sleeping through a
+        whole poll interval."""
+        queue = JobQueue(tmp_path / "queue.jsonl")
+        store = ResultsStore(tmp_path / "exp.jsonl")
+        scheduler = SweepScheduler(queue, store, poll_interval=30.0)
+        real_ready_batch = scheduler._ready_batch
+        submitted = {}
+
+        def ready_batch():
+            batch = real_ready_batch()
+            if not batch and not submitted:
+                # The claim -> wait window, entered deterministically.
+                submitted["at"] = time.monotonic()
+                submitted["job"], _ = queue.submit([prox("tiny_a")])
+            return batch
+
+        scheduler._ready_batch = ready_batch
+        scheduler.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while "job" not in submitted and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert "job" in submitted, "scheduler loop never ran"
+            wait_done(queue, submitted["job"].job_id, timeout=10.0)
+            elapsed = time.monotonic() - submitted["at"]
+        finally:
+            scheduler.stop()
+        assert elapsed < 2.0, f"wakeup lost: job took {elapsed:.1f}s"

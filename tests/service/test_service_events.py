@@ -10,12 +10,13 @@ storage backend, SQLite included).
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.experiments import ResultsStore, ScenarioSpec
 from repro.pipeline import clear_memo
-from repro.service import AttackService, ServiceClient
+from repro.service import AttackService, Job, ServiceClient
 from repro.service.client import ServiceClientError
 
 TINY = {"design": "tiny_a", "split_layer": 3, "attack": "proximity"}
@@ -91,6 +92,50 @@ def test_live_job_streams_every_kind(monkeypatch, tmp_path):
     finally:
         svc.stop()
         clear_memo()
+
+
+def test_terminal_event_right_after_snapshot_is_not_lost(
+    monkeypatch, tmp_path
+):
+    """``job_events`` subscribes before it reads the job snapshot, so a
+    terminal event published right after the read reaches the stream
+    through the bus — never dropped, never waited out as a quiet poll
+    chunk.  The snapshot is modelled as the point-in-time view it is
+    (a re-folded journal hands out fresh objects)."""
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    svc = AttackService(
+        store=ResultsStore(tmp_path / "experiments.jsonl"),
+        queue_path=tmp_path / "queue.jsonl",
+    )
+    try:
+        # A dropped event would stall the stream this long.
+        svc.STREAM_POLL_S = 5.0
+        job, _ = svc.queue.submit([ScenarioSpec.from_dict(TINY)])
+        real_get = svc.queue.get
+        calls = []
+
+        def get_then_finish(job_id):
+            view = real_get(job_id)
+            calls.append(job_id)
+            if len(calls) == 1:
+                view = Job.from_dict(view.to_dict())
+                # The scheduler finishes the job and publishes, exactly
+                # as SweepScheduler._finish does.
+                svc.queue.claim(worker="w")
+                svc.queue.complete(job_id)
+                svc._publish_job_event(job_id, "done", "done", {})
+            return view
+
+        monkeypatch.setattr(svc.queue, "get", get_then_finish)
+        started = time.monotonic()
+        events = list(svc.job_events(job.job_id))
+        elapsed = time.monotonic() - started
+    finally:
+        svc.scheduler.executor.close()
+        svc.httpd.server_close()
+    assert None not in events, "keepalive before the terminal event"
+    assert [e["kind"] for e in events] == ["submitted", "done"]
+    assert elapsed < 1.0, f"terminal event waited out {elapsed:.1f}s"
 
 
 class TestEventStream:

@@ -3,7 +3,7 @@
 The golden test is the service acceptance bar and the CI smoke test:
 start the server on an ephemeral port against the committed warm
 ``.repro_cache``, submit the golden two-scenario sweep over HTTP,
-long-poll, and compare against ``tests/experiments/golden_sweep.json``
+follow its event stream, and compare against ``tests/experiments/golden_sweep.json``
 bit-for-bit; a resubmission must be answered from the store without
 scheduling any DAG node.  Runs serially in well under 10 seconds.
 """
@@ -75,7 +75,7 @@ def test_golden_sweep_over_http(warm_service):
     assert out["outcome"] == "queued"
     view = client.wait(out["job"]["job_id"], timeout=10.0)
     elapsed = time.monotonic() - started
-    assert elapsed < 10.0, f"golden long-poll took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"golden sweep took {elapsed:.1f}s"
     assert view["status"] == "done"
 
     by_hash = {r["scenario_hash"]: r for r in view["records"]}
@@ -159,7 +159,7 @@ def test_cancel_over_http(monkeypatch, tmp_path):
         cancelled = client.cancel(job_id)
         assert cancelled["outcome"] == "cancelled"
         assert cancelled["job"]["status"] == "cancelled"
-        # Terminal: the long-poll returns immediately and a second
+        # Terminal: the event stream ends at once and a second
         # DELETE is a no-op.
         view = client.wait(job_id, timeout=5.0)
         assert view["status"] == "cancelled"
@@ -224,3 +224,20 @@ def test_http_error_paths(service):
     assert err.value.status == 400
     health = client.health()
     assert health["ok"] is True
+
+
+def test_removed_wait_parameter_is_rejected(service):
+    """An old long-poll client must fail loudly, not spin on instant
+    status replies: ``GET /jobs/<id>?wait=`` is a 400 that names the
+    event stream to use instead."""
+    client = ServiceClient(service.url, timeout=10.0)
+    out = client.submit(specs=[
+        {"design": "tiny_a", "split_layer": 3, "attack": "proximity"},
+    ])
+    job_id = out["job"]["job_id"]
+    with pytest.raises(ServiceClientError) as err:
+        client._request("GET", f"/jobs/{job_id}?wait=30")
+    assert err.value.status == 400
+    assert f"/jobs/{job_id}/events" in str(err.value)
+    # The plain status read still answers.
+    assert client.wait(job_id, timeout=30.0)["status"] == "done"
