@@ -98,9 +98,9 @@ def cmd_quickstart(_args) -> int:
 def cmd_build(args) -> int:
     from repro.core.atomic import atomic_write_text
     from repro.layout import write_def
-    from repro.pipeline import get_layout
+    from repro.pipeline import get_defended_layout
 
-    design = get_layout(args.design)
+    design = get_defended_layout(args.design)
     for key, value in design.stats().items():
         print(f"  {key}: {value}")
     if args.out:

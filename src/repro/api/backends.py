@@ -27,11 +27,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..core.artifacts import cache_root
 from ..experiments.engine import run_sweep
 from ..experiments.store import ResultsStore, ScenarioRecord
 from ..obs import trace as obs_trace
 from ..obs.logging import log_event
-from ..pipeline.flow import cache_dir
 from ..pipeline.parallel import Executor, resolve_workers
 from .events import engine_hooks
 
@@ -119,7 +119,7 @@ class _EngineBackend(Backend):
             raise JobCancelled(f"job {job.job_id or ''} was cancelled")
         job.status = "running"
         progress, on_node = engine_hooks(job._emit)
-        if cache_dir() is None and any(
+        if cache_root() is None and any(
             spec.attack == "dl" for spec in job.specs
         ):
             # Without a disk cache nothing persists between runs (the
@@ -199,7 +199,7 @@ class LocalBackend(_EngineBackend):
             raise BackendError("backend has been closed")
         if self._executor is None:
             n_workers = resolve_workers(self.workers)
-            if n_workers > 1 and cache_dir() is None:
+            if n_workers > 1 and cache_root() is None:
                 n_workers = 1  # no coordination medium: serial
             self._executor = Executor(n_workers)
         return self._executor

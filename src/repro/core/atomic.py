@@ -1,10 +1,11 @@
-"""Atomic file writes shared by the disk caches.
+"""Atomic file writes.
 
-Every cache in the pipeline (layout DEF text, trained weights, feature
-tensors, embedding tables) may be written concurrently by executor
-workers racing on the same key.  Writing to a temp file in the target
-directory and ``os.replace``-ing it onto the final name keeps readers
-from ever observing a torn file; the last writer simply wins.
+Every artifact in the store (:mod:`repro.core.artifacts`: layout DEF
+text, trained weights, feature tensors, embedding tables) may be
+written concurrently by executor workers racing on the same key.
+Writing to a temp file in the target directory and ``os.replace``-ing
+it onto the final name keeps readers from ever observing a torn file;
+the last writer simply wins.
 """
 
 from __future__ import annotations

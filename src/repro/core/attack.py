@@ -10,9 +10,9 @@ ablation).
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -27,9 +27,10 @@ from ..nn import (
 )
 from ..split.metrics import AttackResult, ccr
 from ..split.split import SplitLayout
-from .config import AttackConfig
+from .artifacts import artifact_store, embeddings_key
 from .atomic import atomic_savez
-from .dataset import Batch, SplitDataset, feature_cache_dir, make_batch
+from .config import AttackConfig
+from .dataset import Batch, SplitDataset, make_batch
 from .model import SplitNet
 from .vector_features import FeatureNormalizer
 
@@ -58,9 +59,8 @@ class DLAttack:
     ):
         self.config = config or AttackConfig.fast()
         self.split_layer = split_layer
-        # Gates the feature-tensor and embedding-table disk caches; the
-        # pipeline's trained_attack(use_disk_cache=...) passes through so
-        # cache-free runs really touch no disk.
+        # Gates the feature-tensor and embedding-table disk caches, so a
+        # cache-free timing run really touches no disk.
         self.use_disk_cache = use_disk_cache
         self.model = SplitNet(self.config, split_layer)
         self.normalizer = FeatureNormalizer()
@@ -292,48 +292,33 @@ class DLAttack:
 
     def _embedding_table(self, dataset: SplitDataset) -> np.ndarray:
         """(U, fc_width) tower embeddings of the unique-image table,
-        loaded from the feature cache when possible."""
+        loaded from the artifact store when possible."""
         table = dataset.tensors.image_table
-        width = self.config.fc_width
-        cache_root = feature_cache_dir() if self.use_disk_cache else None
-        path = None
-        if cache_root is not None:
-            path = (
-                cache_root
-                / f"emb_{dataset.cache_key}_{self._weights_tag()}.npz"
-            )
-            if path.exists():
-                try:
-                    with np.load(path) as data:
-                        emb = data["emb"]
-                    if emb.shape == (table.shape[0], width):
-                        return emb.astype(np.float32, copy=False)
-                except Exception:  # repro: ignore[broad-except] unreadable/stale cache: fall through and re-embed
-                    pass
-        table_f = table.astype(np.float32)
-        emb_table = np.concatenate([
-            self.model.embed_images(table_f[start : start + self._EMBED_CHUNK])
-            for start in range(0, table_f.shape[0], self._EMBED_CHUNK)
-        ])
-        if path is not None:
-            atomic_savez(path, {"emb": emb_table})
-        return emb_table
+        expected = (table.shape[0], self.config.fc_width)
 
-    def _weights_tag(self) -> str:
-        """Content hash of the model parameters (embedding cache key).
+        def load(path: Path) -> np.ndarray:
+            with np.load(path) as data:
+                emb = data["emb"]
+            if emb.shape != expected:
+                raise ValueError(f"embeddings {emb.shape}, want {expected}")
+            return emb.astype(np.float32, copy=False)
 
-        Shape and dtype are folded in per key: raw ``tobytes()`` alone
-        would let two distinct parameter states (same bytes, different
-        shape or dtype) collide to the same cache entry.
-        """
-        digest = hashlib.sha256()
-        state = self.model.state_dict()
-        for key in sorted(state):
-            arr = np.ascontiguousarray(state[key])
-            digest.update(key.encode())
-            digest.update(repr((arr.shape, arr.dtype.str)).encode())
-            digest.update(arr.tobytes())
-        return digest.hexdigest()[:16]
+        def build() -> np.ndarray:
+            table_f = table.astype(np.float32)
+            return np.concatenate([
+                self.model.embed_images(
+                    table_f[start : start + self._EMBED_CHUNK]
+                )
+                for start in range(0, table_f.shape[0], self._EMBED_CHUNK)
+            ])
+
+        store = artifact_store(self.use_disk_cache)
+        if store.root is None:
+            return build()  # skip hashing the weights for no file
+        key = embeddings_key(dataset.cache_key, self.model.state_dict())
+        return store.fetch(
+            "embeddings", key, load, build, lambda emb: {"emb": emb}
+        )
 
     def _assign_choices(
         self,
@@ -359,15 +344,17 @@ class DLAttack:
         return ccr(split, self.select(split))
 
     # -- persistence --------------------------------------------------
-    def save(self, path) -> None:
-        from pathlib import Path
-
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Model parameters plus normaliser and split layer, as saved."""
         state = self.model.state_dict()
         state["__norm_mean"] = self.normalizer.state()["mean"]
         state["__norm_std"] = self.normalizer.state()["std"]
         state["__split_layer"] = np.array([self.split_layer])
+        return state
+
+    def save(self, path) -> None:
         # Atomic: executor workers may race training the same config.
-        atomic_savez(Path(path), state)
+        atomic_savez(Path(path), self.state_arrays())
 
     def load(self, path) -> None:
         with np.load(path) as data:

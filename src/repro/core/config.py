@@ -12,51 +12,68 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+# Every field declares its role once.  ``model`` and ``features`` fields
+# identify a trained model (and key its weights in the artifact store);
+# ``features`` fields alone key the feature tensors; ``execution`` fields
+# choose how to compute, not what, and key nothing.
+MODEL = {"role": "model"}
+FEATURES = {"role": "features"}
+EXECUTION = {"role": "execution"}
+
 
 @dataclass(frozen=True)
 class AttackConfig:
     # -- candidate selection (Sec. 4.1) -------------------------------
-    n_candidates: int = 15
+    n_candidates: int = field(default=15, metadata=FEATURES)
 
     # -- image features (Sec. 3.2) ------------------------------------
-    image_size: int = 33
+    image_size: int = field(default=33, metadata=FEATURES)
     # Pixel footprints in grid tracks; the paper uses 0.05/0.1/0.2 um
     # regions — a 1:2:4 ratio, preserved here.
-    image_scales: tuple[int, ...] = (1, 2, 4)
-    use_images: bool = True
+    image_scales: tuple[int, ...] = field(
+        default=(1, 2, 4), metadata=FEATURES
+    )
+    use_images: bool = field(default=True, metadata=FEATURES)
 
     # -- vector features -----------------------------------------------
     # Feature padding assumes at most this many FEOL metal layers.
-    max_feature_layers: int = 4
+    max_feature_layers: int = field(default=4, metadata=FEATURES)
 
     # -- network (Table 2) ----------------------------------------------
-    conv_channels: tuple[int, ...] = (16, 32, 64, 128)
-    convs_per_stage: int = 3
-    fc_width: int = 128
-    image_head_width: int = 256
-    vector_res_blocks: int = 4
-    merged_res_blocks: int = 3
-    loss: str = "softmax"  # "softmax" (Eq. 6) or "two_class" (Eq. 3)
+    conv_channels: tuple[int, ...] = field(
+        default=(16, 32, 64, 128), metadata=MODEL
+    )
+    convs_per_stage: int = field(default=3, metadata=MODEL)
+    fc_width: int = field(default=128, metadata=MODEL)
+    image_head_width: int = field(default=256, metadata=MODEL)
+    vector_res_blocks: int = field(default=4, metadata=MODEL)
+    merged_res_blocks: int = field(default=3, metadata=MODEL)
+    # "softmax" (Eq. 6) or "two_class" (Eq. 3)
+    loss: str = field(default="softmax", metadata=MODEL)
 
     # -- training ---------------------------------------------------------
-    epochs: int = 12
-    batch_groups: int = 8
-    learning_rate: float = 1e-3
-    lr_decay: float = 0.6
-    lr_decay_every: int = 20
-    seed: int = 0
-    max_train_groups_per_design: int | None = None
+    epochs: int = field(default=12, metadata=MODEL)
+    batch_groups: int = field(default=8, metadata=MODEL)
+    learning_rate: float = field(default=1e-3, metadata=MODEL)
+    lr_decay: float = field(default=0.6, metadata=MODEL)
+    lr_decay_every: int = field(default=20, metadata=MODEL)
+    seed: int = field(default=0, metadata=MODEL)
+    max_train_groups_per_design: int | None = field(
+        default=None, metadata=MODEL
+    )
     # regularisation (all off by default, matching the paper's setup)
-    dropout: float = 0.0
-    weight_decay: float = 0.0
-    grad_clip: float | None = None
+    dropout: float = field(default=0.0, metadata=MODEL)
+    weight_decay: float = field(default=0.0, metadata=MODEL)
+    grad_clip: float | None = field(default=None, metadata=MODEL)
     # Execution strategy, not model identity: run the conv tower once
     # per unique image per training batch (gather/scatter-grad) instead
     # of once per duplicate slot.  ``False`` selects the materialised
     # reference path.
-    train_image_dedup: bool = True
+    train_image_dedup: bool = field(default=True, metadata=EXECUTION)
 
-    extras: dict = field(default_factory=dict, compare=False)
+    extras: dict = field(
+        default_factory=dict, compare=False, metadata=EXECUTION
+    )
 
     def __post_init__(self):
         if self.n_candidates < 2:
@@ -87,8 +104,8 @@ class AttackConfig:
 
     # -- serialisation -----------------------------------------------------
     # ``extras`` is excluded on both sides: it is compare=False scratch
-    # space and never part of a configuration's identity (the pipeline's
-    # cache fingerprints skip it for the same reason).
+    # space and never part of a configuration's identity (its execution
+    # role keeps it out of artifact keys for the same reason).
     _TUPLE_FIELDS = ("image_scales", "conv_channels")
 
     def to_dict(self) -> dict:

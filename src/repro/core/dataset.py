@@ -14,24 +14,20 @@ pointing into it (row 0 is the all-zero padding image).  Batch
 assembly (:func:`make_batch`) is then a pure index-and-slice
 operation — epochs never re-render or re-stack features.
 
-The tensors are cached on disk under ``$REPRO_CACHE_DIR/features``
-(default ``.repro_cache/features``; set ``REPRO_CACHE_DIR=`` empty to
-disable), keyed by a hash of the serialised layout and the
-feature-relevant configuration fields.  Each ``<key>.npz`` holds the
-``vec`` tensor, the unique-image table with its ``src_index`` /
-``sink_index`` gather arrays, and the candidate VPP lists as integer
-coordinate arrays (``group_sink``, ``n_valid``, ``vpp_sink``,
-``vpp_source``) — so warm runs, and the worker processes of the
-multi-process pipeline executor, skip candidate selection *and*
-feature extraction entirely.  Cache files are written atomically
-(temp file + ``os.replace``) so concurrent workers never observe torn
-writes.
+The tensors are cached in the artifact store
+(:mod:`repro.core.artifacts`, kind ``features``), keyed by a hash of the
+serialised layout, the split layer and the feature fields of the
+configuration.  Each file holds the ``vec`` tensor, the unique-image
+table with its ``src_index`` / ``sink_index`` gather arrays, and the
+candidate VPP lists as integer coordinate arrays (``group_sink``,
+``n_valid``, ``vpp_sink``, ``vpp_source``) — so warm runs, and the
+worker processes of the multi-process pipeline executor, skip
+candidate selection *and* feature extraction entirely.  A file that
+fails validation against the split layout is rebuilt.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +35,7 @@ import numpy as np
 
 from ..split.fragments import VirtualPin
 from ..split.split import VPP, SplitLayout
-from .atomic import atomic_savez
+from .artifacts import artifact_store, features_key
 from .candidates import build_candidates
 from .config import AttackConfig
 from .image_features import ImageExtractor
@@ -48,8 +44,6 @@ from .vector_features import (
     FeatureNormalizer,
     group_vector_features,
 )
-
-_TENSOR_CACHE_VERSION = 1
 
 
 @dataclass
@@ -87,81 +81,6 @@ class FeatureTensors:
         return total
 
 
-def feature_cache_dir() -> Path | None:
-    """Directory for feature-tensor caches, or None when disabled.
-
-    Controlled by ``REPRO_CACHE_DIR`` exactly like the layout / trained
-    -model caches in :mod:`repro.pipeline.flow`.
-    """
-    root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    if not root:
-        return None
-    path = Path(root) / "features"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def feature_config_fingerprint(config: AttackConfig) -> str:
-    """Hash of the config fields the feature tensors depend on.
-
-    Layout-independent, so the sweep engine can key cache warm-up nodes
-    on it before any layout exists: two configs that differ only in
-    training hyper-parameters (epochs, learning rate, ...) share one
-    fingerprint and therefore one feature-tensor cache entry.
-    """
-    payload = repr(
-        (
-            config.n_candidates,
-            config.image_size,
-            config.image_scales,
-            config.use_images,
-            config.max_feature_layers,
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def feature_cache_key(split: SplitLayout, config: AttackConfig) -> str:
-    """Content key of one (layout, split layer, feature config) tensor set."""
-    cfg = config
-    payload = repr(
-        (
-            _TENSOR_CACHE_VERSION,
-            _layout_fingerprint(split),
-            split.split_layer,
-            cfg.n_candidates,
-            cfg.image_size,
-            cfg.image_scales,
-            cfg.use_images,
-            cfg.max_feature_layers,
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-
-def feature_cache_path(split: SplitLayout, config: AttackConfig) -> Path | None:
-    """Disk location of the cached feature tensors (None: cache disabled)."""
-    root = feature_cache_dir()
-    if root is None:
-        return None
-    return root / f"{feature_cache_key(split, config)}.npz"
-
-
-def _layout_fingerprint(split: SplitLayout) -> str:
-    """Content hash of the serialised layout, memoised on the design."""
-    design = split.design
-    cached = getattr(design, "_repro_def_sha", None)
-    if cached is None:
-        from ..layout.def_io import write_def
-
-        cached = hashlib.sha256(write_def(design).encode()).hexdigest()
-        try:
-            design._repro_def_sha = cached
-        except AttributeError:  # __slots__ or frozen: recompute next time
-            pass
-    return cached
-
-
 class SplitDataset:
     """Candidate groups plus precomputed feature tensors for one layout."""
 
@@ -179,19 +98,13 @@ class SplitDataset:
         self.candidates: dict[int, list[VPP]] = {}
         self.tensors: FeatureTensors | None = None
 
-        self.cache_key = self._cache_key()
-        cache_path: Path | None = None
-        if use_disk_cache:
-            cache_root = feature_cache_dir()
-            if cache_root is not None:
-                cache_path = cache_root / f"{self.cache_key}.npz"
-                self._try_load_cache(cache_path)
-        if self.tensors is None:
+        self.cache_key = features_key(split, config)
+        store = artifact_store(use_disk_cache)
+        if not store.read("features", self.cache_key, self._load_cache):
             self.candidates = build_candidates(split, config.n_candidates)
             self._build_group_shells()
             self.tensors = self._compute_tensors()
-            if cache_path is not None:
-                atomic_savez(cache_path, self._cache_arrays())
+            store.write("features", self.cache_key, self._cache_arrays())
         # Per-group vec/mask are views into the stacked tensors.
         for group in self.groups:
             group.vec = self.tensors.vec[group.index]
@@ -238,9 +151,6 @@ class SplitDataset:
             )
 
     # -- tensor precompute / cache --------------------------------------
-    def _cache_key(self) -> str:
-        return feature_cache_key(self.split, self.config)
-
     def _cache_arrays(self) -> dict[str, np.ndarray]:
         """Everything expensive, as arrays: features, unique images and
         the candidate lists themselves (so warm loads skip candidate
@@ -276,37 +186,26 @@ class SplitDataset:
             arrays["sink_index"] = self.tensors.sink_index
         return arrays
 
-    def _try_load_cache(self, path: Path) -> bool:
+    def _load_cache(self, path: Path) -> bool:
         """Rebuild groups, candidates and tensors from a cache file.
 
-        Validates shapes and fragment ids against the split layout; any
-        mismatch or read error leaves the dataset untouched (cold path
-        recomputes and overwrites the stale file).
+        Validates shapes and fragment ids against the split layout.  A
+        missing array raises ``KeyError`` and any other mismatch
+        ``ValueError``, leaving the dataset untouched for the store to
+        report and rebuild.
         """
-        if not path.exists():
-            return False
         n = self.config.n_candidates
-        try:
-            with np.load(path) as data:
-                required = {
-                    "vec", "group_sink", "n_valid", "vpp_sink", "vpp_source",
-                }
-                if not required <= set(data.files):
-                    return False
-                vec = data["vec"].astype(np.float32, copy=False)
-                group_sink = data["group_sink"]
-                n_valid = data["n_valid"]
-                vpp_sink = data["vpp_sink"]
-                vpp_source = data["vpp_source"]
-                image_table = src_index = sink_index = None
-                if self.config.use_images:
-                    if "image_table" not in data.files:
-                        return False
-                    image_table = data["image_table"]
-                    src_index = data["src_index"].astype(np.intp)
-                    sink_index = data["sink_index"].astype(np.intp)
-        except Exception:  # repro: ignore[broad-except] unreadable cache: report a miss and recompute
-            return False
+        with np.load(path) as data:
+            vec = data["vec"].astype(np.float32, copy=False)
+            group_sink = data["group_sink"]
+            n_valid = data["n_valid"]
+            vpp_sink = data["vpp_sink"]
+            vpp_source = data["vpp_source"]
+            image_table = src_index = sink_index = None
+            if self.config.use_images:
+                image_table = data["image_table"]
+                src_index = data["src_index"].astype(np.intp)
+                sink_index = data["sink_index"].astype(np.intp)
 
         g = group_sink.shape[0]
         sink_ids = {f.fragment_id for f in self.split.sink_fragments}
@@ -318,7 +217,7 @@ class SplitDataset:
             or g > len(sink_ids)
             or not set(group_sink.tolist()) <= sink_ids
         ):
-            return False
+            raise ValueError("feature tensors do not match the layout")
         if self.config.use_images:
             expected = (
                 # Derive channels from config alone: touching self.images
@@ -335,20 +234,20 @@ class SplitDataset:
                 or src_index.max(initial=0) >= image_table.shape[0]
                 or sink_index.max(initial=0) >= image_table.shape[0]
             ):
-                return False
+                raise ValueError("image table does not match the config")
 
         fragment_ids = {f.fragment_id for f in self.split.fragments}
         groups: list[SampleGroup] = []
         for i in range(g):
             k = int(n_valid[i])
             if not 1 <= k <= n:
-                return False
+                raise ValueError(f"group {i} has {k} candidates")
             vpps = []
             for j in range(k):
                 sf, sx, sy = (int(v) for v in vpp_sink[i, j])
                 qf, qx, qy = (int(v) for v in vpp_source[i, j])
                 if sf not in fragment_ids or qf not in fragment_ids:
-                    return False
+                    raise ValueError(f"group {i} names an unknown fragment")
                 vpps.append(
                     VPP(VirtualPin(sf, sx, sy), VirtualPin(qf, qx, qy))
                 )

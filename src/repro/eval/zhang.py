@@ -74,27 +74,21 @@ def run_candidate_list_comparison(
     config: AttackConfig | None = None,
     train_names: tuple[str, ...] | None = None,
     list_threshold: float = 0.2,
-    use_disk_cache: bool = True,
 ) -> ZhangReport:
     config = config or AttackConfig.benchmark()
     if train_names is None:
         train_names = tuple(d.name for d in TRAINING_DESIGNS)
     report = ZhangReport(split_layer=split_layer)
 
-    dl: DLAttack = trained_attack(
-        split_layer, config, train_names=train_names,
-        use_disk_cache=use_disk_cache,
-    )
-    train_splits = [
-        get_split(n, split_layer, use_disk_cache) for n in train_names
-    ]
+    dl: DLAttack = trained_attack(split_layer, config, train_names)
+    train_splits = [get_split(n, split_layer) for n in train_names]
     started = time.perf_counter()
     rf = RandomForestAttack(list_threshold=list_threshold)
     rf.train(train_splits)
     report.rf_train_seconds = time.perf_counter() - started
 
     for name in designs:
-        split = get_split(name, split_layer, use_disk_cache)
+        split = get_split(name, split_layer)
         dl_ccr = ccr(split, dl.select(split))
         rf_single = ccr(split, rf.select(split))
         lists = rf.candidate_lists(split)

@@ -41,19 +41,19 @@ from dataclasses import dataclass, field
 from ..attacks.network_flow import NetworkFlowAttack
 from ..attacks.proximity import ProximityAttack
 from ..attacks.random_forest import RandomForestAttack
-from ..core.config import AttackConfig
-from ..core.dataset import (
-    SplitDataset,
-    feature_cache_path,
+from ..core.artifacts import (
+    artifact_store,
+    cache_root,
     feature_config_fingerprint,
+    features_key,
+    layout_key,
+    weights_key,
 )
+from ..core.config import AttackConfig
+from ..core.dataset import SplitDataset
 from ..eval.timeout import run_with_timeout
 from ..obs import trace as obs_trace
 from ..pipeline.flow import (
-    _config_fingerprint,
-    attack_weight_path,
-    cache_dir,
-    defended_layout_tag,
     get_defended_layout,
     get_defended_split,
     trained_attack,
@@ -114,7 +114,7 @@ class SweepPlan:
 class SweepResult:
     """Outcome of one sweep run: one record per spec, in spec order.
 
-    ``train_seconds`` is keyed by (split layer, config fingerprint) —
+    ``train_seconds`` is keyed by (split layer, weight key) —
     one entry per train node that actually ran this sweep.
     """
 
@@ -219,7 +219,7 @@ def evaluate_scenario(spec: ScenarioSpec) -> ScenarioRecord:
 
 def _layout_job(design: str, kind: str, strength: float, seed: int) -> str:
     get_defended_layout(design, kind, strength, seed)
-    return defended_layout_tag(design, kind, strength, seed)
+    return layout_key(design, kind, strength, seed)
 
 
 def _features_job(
@@ -285,7 +285,7 @@ def plan_sweep(
     exists are pruned (their consumers load them lazily).
     """
     plan = SweepPlan(specs=list(specs))
-    disk = cache_dir()
+    artifacts = artifact_store()
     wanted: set[NodeKey] = set()
 
     def add_node(node: PlanNode) -> None:
@@ -293,8 +293,7 @@ def plan_sweep(
             plan.nodes[node.key] = node
 
     def layout_node(design: str, kind: str, strength: float, seed: int):
-        tag = defended_layout_tag(design, kind, strength, seed)
-        key = ("layout", tag)
+        key = ("layout", layout_key(design, kind, strength, seed))
         add_node(
             PlanNode(key, "layout", (design, kind, strength, seed))
         )
@@ -308,9 +307,11 @@ def plan_sweep(
         split_layer: int,
         config: AttackConfig,
     ):
-        tag = defended_layout_tag(design, kind, strength, seed)
         key = (
-            "features", tag, split_layer, feature_config_fingerprint(config)
+            "features",
+            layout_key(design, kind, strength, seed),
+            split_layer,
+            feature_config_fingerprint(config),
         )
         add_node(
             PlanNode(
@@ -334,13 +335,11 @@ def plan_sweep(
         # persist their artifact; without a disk cache each evaluation
         # recomputes in-process anyway, so scheduling them would just
         # do the work one extra time and discard the result.
-        if spec.attack == "dl" and disk is not None:
+        if spec.attack == "dl" and artifacts.root is not None:
             train_key = (
                 "train",
                 spec.split_layer,
-                _config_fingerprint(
-                    spec.config, spec.split_layer, spec.train_names
-                ),
+                weights_key(spec.config, spec.split_layer, spec.train_names),
             )
             # The trainer renders one feature-tensor set per corpus
             # design; warming them as explicit nodes lets concurrent
@@ -393,26 +392,21 @@ def plan_sweep(
     seen: set[NodeKey] = set()
 
     def cached_on_disk(node: PlanNode) -> bool:
-        if node.kind == "layout" and disk is not None:
-            tag = defended_layout_tag(*node.payload)
-            return (disk / f"{tag}.def").exists()
-        if node.kind == "features" and disk is not None:
+        if node.kind == "layout":
+            return artifacts.exists("layout", layout_key(*node.payload))
+        if node.kind == "features":
             design, kind, strength, seed, layer, cfg = node.payload
-            tag = defended_layout_tag(design, kind, strength, seed)
-            if not (disk / f"{tag}.def").exists():
+            if not artifacts.exists(
+                "layout", layout_key(design, kind, strength, seed)
+            ):
                 # Layout not built yet: the key depends on its content,
                 # so the warm-up cannot be proven cached — keep it.
                 return False
             split = get_defended_split(design, layer, kind, strength, seed)
-            path = feature_cache_path(split, AttackConfig.from_dict(cfg))
-            return path is not None and path.exists()
+            key = features_key(split, AttackConfig.from_dict(cfg))
+            return artifacts.exists("features", key)
         if node.kind == "train":
-            weight = attack_weight_path(
-                AttackConfig.from_dict(node.payload[1]),
-                node.payload[0],
-                node.payload[2],
-            )
-            return weight is not None and weight.exists()
+            return artifacts.exists("weights", node.key[2])
         return False
 
     def visit(key: NodeKey) -> None:
@@ -502,7 +496,7 @@ def _run_sweep_traced(
     owns_executor = executor is None
     if owns_executor:
         n_workers = resolve_workers(workers)
-        if n_workers > 1 and cache_dir() is None:
+        if n_workers > 1 and cache_root() is None:
             n_workers = 1  # no coordination medium: fall back to serial
         executor = Executor(n_workers)
     by_hash: dict[str, ScenarioRecord] = {
@@ -541,7 +535,7 @@ def _run_sweep_traced(
                         f"node.{kind}", seconds, kind=kind
                     )
                     if kind == "train":
-                        # Keyed by (layer, config fingerprint): a grid
+                        # Keyed by (layer, weight key): a grid
                         # may train several configs at one layer (e.g.
                         # figure5).
                         result.train_seconds[

@@ -4,13 +4,10 @@ multi-process fan-out (see :mod:`repro.pipeline.parallel`)."""
 from .flow import (
     attack_weight_path,
     build_netlist,
-    cache_dir,
     clear_memo,
     default_train_names,
-    defended_layout_tag,
     get_defended_layout,
     get_defended_split,
-    get_layout,
     get_split,
     trained_attack,
 )
@@ -20,13 +17,10 @@ __all__ = [
     "Executor",
     "attack_weight_path",
     "build_netlist",
-    "cache_dir",
     "clear_memo",
     "default_train_names",
-    "defended_layout_tag",
     "get_defended_layout",
     "get_defended_split",
-    "get_layout",
     "get_split",
     "resolve_workers",
     "trained_attack",

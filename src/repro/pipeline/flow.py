@@ -2,33 +2,28 @@
 
 Building a layout (floorplan -> place -> route) and training the DL
 attack are the expensive steps, and both are deterministic functions of
-their inputs.  This module memoises them:
+their inputs.  This module memoises them in memory and persists them
+through the artifact store (:mod:`repro.core.artifacts`): layouts as
+DEF-like text keyed by design and defense, trained attacks as npz
+weights keyed by the model fields of the configuration, the split layer
+and the training corpus.  The store also holds the feature tensors and
+embeddings that :mod:`repro.core.dataset` and
+:mod:`repro.core.attack` cache.
 
-* layouts are cached in memory and on disk (DEF-like text) keyed by
-  design name;
-* trained attacks are cached on disk (npz weights) keyed by a stable
-  hash of the configuration, split layer and training suite;
-* per-dataset feature tensors (vector features + unique-image tables)
-  are cached by :mod:`repro.core.dataset` under ``features/``, keyed by
-  the layout content hash and the feature-relevant config fields.
-
-Set the environment variable ``REPRO_CACHE_DIR`` to relocate the cache
-(defaults to ``.repro_cache`` in the working directory); set it to the
-empty string to disable disk caching.  The disk cache also serves as
-the coordination medium for the multi-process executor
+``REPRO_CACHE_DIR`` relocates the cache (default ``.repro_cache`` in the
+working directory); the empty string disables it.  The disk cache is
+also the coordination medium of the multi-process executor
 (:mod:`repro.pipeline.parallel`): worker processes share layouts,
 weights and feature tensors purely through these files, so parallel
-runs need ``REPRO_CACHE_DIR`` enabled.  Worker count comes from the
-``workers=`` parameters or the ``REPRO_WORKERS`` environment variable.
+runs need it enabled.  Worker count comes from the ``workers=``
+parameters or the ``REPRO_WORKERS`` environment variable.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from pathlib import Path
 
-from ..core.atomic import atomic_write_text
+from ..core.artifacts import artifact_store, layout_key, weights_key
 from ..core.attack import DLAttack
 from ..core.config import AttackConfig
 from ..layout.def_io import read_def, write_def
@@ -50,21 +45,12 @@ _SUITE_BY_NAME = {
 
 _layout_memo: dict[str, Design] = {}
 _split_memo: dict[tuple[str, int], SplitLayout] = {}
-# Trained attacks, keyed by (layer, config fingerprint).  Only
-# populated when the disk cache is disabled: with a weight cache the
-# disk is the sharing medium (and works across processes); without
-# one this memo is what keeps a multi-scenario sweep from retraining
-# the same model once per evaluation node.
-_attack_memo: dict[tuple[int, str], "DLAttack"] = {}
-
-
-def cache_dir() -> Path | None:
-    root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    if not root:
-        return None
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+# Trained attacks, keyed by weight key.  Only populated when the disk
+# cache is disabled: with a weight cache the disk is the sharing medium
+# (and works across processes); without one this memo is what keeps a
+# multi-scenario sweep from retraining the same model once per
+# evaluation node.
+_attack_memo: dict[str, DLAttack] = {}
 
 
 def clear_memo() -> None:
@@ -83,44 +69,8 @@ def build_netlist(name: str) -> Netlist:
     raise KeyError(f"unknown design {name!r}")
 
 
-def get_layout(name: str, use_disk_cache: bool = True) -> Design:
-    """Place-and-route a named design, with memo + disk cache."""
-    memo = _layout_memo.get(name)
-    if memo is not None:
-        return memo
-    netlist = build_netlist(name)
-    design: Design | None = None
-    disk = cache_dir() if use_disk_cache else None
-    def_path = disk / f"{name}.def" if disk else None
-    if def_path is not None and def_path.exists():
-        try:
-            design = read_def(def_path.read_text(), netlist)
-        except Exception:
-            design = None  # stale cache: rebuild
-    if design is None:
-        design = build_layout(netlist)
-        if def_path is not None:
-            atomic_write_text(def_path, write_def(design))
-    _layout_memo[name] = design
-    return design
-
-
-def get_split(name: str, split_layer: int, use_disk_cache: bool = True) -> SplitLayout:
-    key = (name, split_layer)
-    if key not in _split_memo:
-        _split_memo[key] = split_design(
-            get_layout(name, use_disk_cache), split_layer
-        )
-    return _split_memo[key]
-
-
-def defended_layout_tag(
-    name: str, kind: str, strength: float, seed: int
-) -> str:
-    """Cache key of a defended layout build (identity for undefended)."""
-    if kind == "none":
-        return name
-    return f"{name}__{kind}_{strength:g}_s{seed}"
+def get_split(name: str, split_layer: int) -> SplitLayout:
+    return get_defended_split(name, split_layer)
 
 
 def get_defended_layout(
@@ -128,45 +78,40 @@ def get_defended_layout(
     kind: str = "none",
     strength: float = 0.0,
     seed: int = 0,
-    use_disk_cache: bool = True,
 ) -> Design:
-    """Build (or load) a possibly-defended layout, with memo + disk cache.
+    """Place-and-route a possibly-defended design, with memo + disk cache.
 
-    Defended layouts are deterministic functions of (design, defense
-    kind, strength, seed), so they share the layout cache: every
-    attack evaluated on the same defended layout — across scenarios and
-    worker processes — reuses one place-and-route.
+    Layouts are deterministic functions of (design, defense kind,
+    strength, seed), so every attack evaluated on the same layout —
+    across scenarios and worker processes — reuses one place-and-route.
     """
-    if kind == "none":
-        return get_layout(name, use_disk_cache)
-    tag = defended_layout_tag(name, kind, strength, seed)
-    memo = _layout_memo.get(tag)
+    key = layout_key(name, kind, strength, seed)
+    memo = _layout_memo.get(key)
     if memo is not None:
         return memo
     netlist = build_netlist(name)
-    design: Design | None = None
-    disk = cache_dir() if use_disk_cache else None
-    def_path = disk / f"{tag}.def" if disk else None
-    if def_path is not None and def_path.exists():
-        try:
-            design = read_def(def_path.read_text(), netlist)
-        except Exception:
-            design = None  # stale cache: rebuild
-    if design is None:
+
+    def build() -> Design:
+        if kind == "none":
+            return build_layout(netlist)
         # Imported lazily: repro.defense.evaluation imports this module,
         # so a top-level import would be circular.
         from ..defense.lifting import lifted_layout
         from ..defense.perturbation import perturbed_layout
 
         if kind == "perturb":
-            design = perturbed_layout(netlist, strength=strength, seed=seed)
-        elif kind == "lift":
-            design = lifted_layout(netlist, lift_fraction=strength, seed=seed)
-        else:
-            raise ValueError(f"unknown defense kind {kind!r}")
-        if def_path is not None:
-            atomic_write_text(def_path, write_def(design))
-    _layout_memo[tag] = design
+            return perturbed_layout(netlist, strength=strength, seed=seed)
+        if kind == "lift":
+            return lifted_layout(netlist, lift_fraction=strength, seed=seed)
+        raise ValueError(f"unknown defense kind {kind!r}")
+
+    design = artifact_store().fetch(
+        "layout", key,
+        lambda path: read_def(path.read_text(), netlist),
+        build,
+        write_def,
+    )
+    _layout_memo[key] = design
     return design
 
 
@@ -176,36 +121,13 @@ def get_defended_split(
     kind: str = "none",
     strength: float = 0.0,
     seed: int = 0,
-    use_disk_cache: bool = True,
 ) -> SplitLayout:
-    tag = defended_layout_tag(name, kind, strength, seed)
-    key = (tag, split_layer)
+    key = (layout_key(name, kind, strength, seed), split_layer)
     if key not in _split_memo:
         _split_memo[key] = split_design(
-            get_defended_layout(name, kind, strength, seed, use_disk_cache),
-            split_layer,
+            get_defended_layout(name, kind, strength, seed), split_layer
         )
     return _split_memo[key]
-
-
-def _config_fingerprint(
-    config: AttackConfig, split_layer: int, train_names: tuple[str, ...]
-) -> str:
-    payload = repr(
-        (
-            sorted(
-                (k, v)
-                for k, v in vars(config).items()
-                # train_image_dedup is an execution strategy with
-                # identical model semantics, not model identity — it
-                # must not stale committed trained-weight caches.
-                if k not in ("extras", "train_image_dedup")
-            ),
-            split_layer,
-            train_names,
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def default_train_names() -> tuple[str, ...]:
@@ -220,20 +142,17 @@ def attack_weight_path(
 ) -> Path | None:
     """Disk-cache location of a trained attack's weights (None when the
     disk cache is disabled)."""
-    disk = cache_dir()
-    if disk is None:
-        return None
     if train_names is None:
         train_names = default_train_names()
-    tag = _config_fingerprint(config, split_layer, train_names)
-    return disk / f"dl_attack_m{split_layer}_{tag}.npz"
+    return artifact_store().path(
+        "weights", weights_key(config, split_layer, train_names)
+    )
 
 
 def trained_attack(
     split_layer: int,
     config: AttackConfig | None = None,
     train_names: tuple[str, ...] | None = None,
-    use_disk_cache: bool = True,
     verbose: bool = False,
 ) -> DLAttack:
     """Train (or load) the DL attack for one split layer.
@@ -244,39 +163,29 @@ def trained_attack(
     config = config or AttackConfig.fast()
     if train_names is None:
         train_names = default_train_names()
-
-    weight_path = (
-        attack_weight_path(config, split_layer, train_names)
-        if use_disk_cache
-        else None
-    )
-    memo_key = None
-    if use_disk_cache and weight_path is None:
-        # Caching wanted but the disk cache is disabled by the
-        # environment: share the trained model in-process so a sweep's
+    key = weights_key(config, split_layer, train_names)
+    store = artifact_store()
+    if store.root is None:
+        # No disk cache: share the trained model in-process so a sweep's
         # evaluation nodes (which run serially in this situation) train
         # once per (layer, config) rather than once per scenario.
-        memo_key = (
-            split_layer,
-            _config_fingerprint(config, split_layer, train_names),
-        )
-        memo = _attack_memo.get(memo_key)
+        memo = _attack_memo.get(key)
         if memo is not None:
             return memo
 
-    attack = DLAttack(config, split_layer, use_disk_cache=use_disk_cache)
-    if weight_path is not None:
-        if weight_path.exists():
-            try:
-                attack.load(weight_path)
-                return attack
-            except Exception:
-                pass  # stale cache: retrain
+    def load(path: Path) -> DLAttack:
+        attack = DLAttack(config, split_layer)
+        attack.load(path)
+        return attack
 
-    train_splits = [get_split(n, split_layer, use_disk_cache) for n in train_names]
-    attack.train(train_splits, verbose=verbose)
-    if weight_path is not None:
-        attack.save(weight_path)
-    if memo_key is not None:
-        _attack_memo[memo_key] = attack
+    def build() -> DLAttack:
+        # A fresh model: a failed load may have half-filled another.
+        attack = DLAttack(config, split_layer)
+        splits = [get_split(n, split_layer) for n in train_names]
+        attack.train(splits, verbose=verbose)
+        return attack
+
+    attack = store.fetch("weights", key, load, build, DLAttack.state_arrays)
+    if store.root is None:
+        _attack_memo[key] = attack
     return attack

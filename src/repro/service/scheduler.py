@@ -52,6 +52,7 @@ import threading
 import time
 import traceback
 
+from ..core.artifacts import cache_root
 from ..experiments.engine import (
     NodeKey,
     PlanNode,
@@ -64,7 +65,6 @@ from ..experiments.store import ResultsStore, ScenarioRecord
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.logging import log_event
-from ..pipeline.flow import cache_dir
 from ..pipeline.parallel import Executor, resolve_workers
 from .queue import DEFAULT_LEASE_S, Job, JobQueue
 
@@ -176,7 +176,7 @@ class SweepScheduler:
         self._owns_executor = executor is None
         if executor is None:
             n_workers = resolve_workers(workers)
-            if n_workers > 1 and cache_dir() is None:
+            if n_workers > 1 and cache_root() is None:
                 n_workers = 1  # no coordination medium: serial
             executor = Executor(n_workers)
         self.executor = executor

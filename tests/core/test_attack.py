@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import AttackConfig, DLAttack
+from repro.core.artifacts import embeddings_key
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
 from repro.split import ccr, split_design
@@ -181,22 +182,21 @@ class TestValidationDatasetHoisting:
 
 
 class TestWeightsTag:
-    def test_shape_and_dtype_break_collisions(self, monkeypatch):
+    """The parameter-state half of the embedding-table key."""
+
+    def test_shape_and_dtype_break_collisions(self):
         """Raw tobytes() would collide e.g. (2,3) with (3,2) and f32
-        zeros with i32 zeros; the tag must separate all of them."""
+        zeros with i32 zeros; the key must separate all of them."""
         import numpy as np
 
-        attack = DLAttack(AttackConfig.tiny(), split_layer=3)
         states = [
             {"p": np.zeros((2, 3), dtype=np.float32)},
             {"p": np.zeros((3, 2), dtype=np.float32)},
             {"p": np.zeros((2, 3), dtype=np.int32)},
         ]
-        tags = []
-        for state in states:
-            monkeypatch.setattr(attack.model, "state_dict", lambda s=state: s)
-            tags.append(attack._weights_tag())
-        assert len(set(tags)) == len(tags)
+        keys = {embeddings_key("f", state) for state in states}
+        assert len(keys) == len(states)
 
     def test_tag_is_deterministic(self, trained):
-        assert trained._weights_tag() == trained._weights_tag()
+        state = trained.model.state_dict()
+        assert embeddings_key("f", state) == embeddings_key("f", state)

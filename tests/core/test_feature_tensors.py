@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AttackConfig, FeatureNormalizer, SplitDataset, make_batch
-from repro.core.dataset import feature_cache_dir
+from repro.core.artifacts import cache_root
 from repro.core.vector_features import group_vector_features
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
@@ -20,6 +20,10 @@ def split():
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+
+def feature_files() -> list:
+    return list((cache_root() / "features").glob("*.npz"))
 
 
 class TestTensorShapes:
@@ -90,8 +94,7 @@ class TestDiskCache:
     def test_cache_roundtrip_is_identical(self, split):
         cfg = AttackConfig.tiny()
         first = SplitDataset(split, cfg)
-        cache_root = feature_cache_dir()
-        files = list(cache_root.glob("*.npz"))
+        files = feature_files()
         assert len(files) == 1, "expected one cached tensor file"
         second = SplitDataset(split, cfg)  # warm: loads from disk
         t1, t2 = first.tensors, second.tensors
@@ -105,15 +108,14 @@ class TestDiskCache:
     def test_cache_key_sensitive_to_config(self, split):
         SplitDataset(split, AttackConfig.tiny())
         SplitDataset(split, AttackConfig.tiny().with_(n_candidates=4))
-        files = list(feature_cache_dir().glob("*.npz"))
-        assert len(files) == 2
+        assert len(feature_files()) == 2
 
     def test_corrupt_cache_recomputed(self, split):
         cfg = AttackConfig.tiny()
         SplitDataset(split, cfg)
-        (path,) = feature_cache_dir().glob("*.npz")
+        (path,) = feature_files()
         path.write_bytes(b"not an npz file")
-        ds = SplitDataset(split, cfg)  # must silently recompute
+        ds = SplitDataset(split, cfg)  # reported, then recomputed
         assert ds.tensors.vec.shape[0] == len(ds.groups)
 
     def test_cache_disabled_by_env(self, split, monkeypatch, tmp_path):
@@ -123,4 +125,4 @@ class TestDiskCache:
 
     def test_cache_opt_out_parameter(self, split):
         SplitDataset(split, AttackConfig.tiny(), use_disk_cache=False)
-        assert not list(feature_cache_dir().glob("*.npz"))
+        assert not feature_files()

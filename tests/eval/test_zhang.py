@@ -28,13 +28,13 @@ class TestReportRendering:
 
 
 class TestTinyRun:
-    def test_comparison_on_tiny_corpus(self):
+    def test_comparison_on_tiny_corpus(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")  # disk cache off
         report = run_candidate_list_comparison(
             designs=["tiny_seq"],
             split_layer=3,
             config=AttackConfig.tiny().with_(epochs=2),
             train_names=("tiny_a", "tiny_b"),
-            use_disk_cache=False,
         )
         assert len(report.rows) == 1
         row = report.rows[0]

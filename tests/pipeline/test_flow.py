@@ -3,8 +3,14 @@
 import pytest
 
 from repro.core import AttackConfig
-from repro.pipeline import build_netlist, clear_memo, get_layout, get_split, trained_attack
-from repro.pipeline.flow import _config_fingerprint
+from repro.core.artifacts import weights_key
+from repro.pipeline import (
+    build_netlist,
+    clear_memo,
+    get_defended_layout,
+    get_split,
+    trained_attack,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -31,14 +37,14 @@ class TestNetlistLookup:
 
 class TestLayoutCache:
     def test_memoised_within_process(self):
-        a = get_layout("tiny_a")
-        b = get_layout("tiny_a")
+        a = get_defended_layout("tiny_a")
+        b = get_defended_layout("tiny_a")
         assert a is b
 
     def test_disk_cache_roundtrip(self, tmp_path):
-        first = get_layout("tiny_a")
+        first = get_defended_layout("tiny_a")
         clear_memo()
-        second = get_layout("tiny_a")  # now from disk
+        second = get_defended_layout("tiny_a")  # now from disk
         assert first is not second
         assert first.placement.locations == second.placement.locations
         for name, route in first.routes.items():
@@ -46,8 +52,8 @@ class TestLayoutCache:
 
     def test_disk_cache_disabled(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", "")
-        layout = get_layout("tiny_b")
-        assert layout is get_layout("tiny_b")
+        layout = get_defended_layout("tiny_b")
+        assert layout is get_defended_layout("tiny_b")
 
     def test_split_memoised(self):
         a = get_split("tiny_a", 3)
@@ -70,5 +76,5 @@ class TestTrainedAttackCache:
         a = AttackConfig.tiny()
         b = AttackConfig.tiny().with_(epochs=99)
         names = ("x",)
-        assert _config_fingerprint(a, 3, names) != _config_fingerprint(b, 3, names)
-        assert _config_fingerprint(a, 1, names) != _config_fingerprint(a, 3, names)
+        assert weights_key(a, 3, names) != weights_key(b, 3, names)
+        assert weights_key(a, 1, names) != weights_key(a, 3, names)
