@@ -61,9 +61,9 @@ def test_variant_inference_time(benchmark, variant, bench_config, split_of):
     attack = trained_attack(3, variant_config(bench_config, variant))
     # Cache-free, like run_figure5: a warm feature/embedding cache would
     # reduce all three variants to npz-load time.
-    attack.use_disk_cache = False
     split = split_of("c880", 3)
     result = benchmark.pedantic(
-        attack.attack, args=(split,), rounds=1, iterations=1
+        attack.attack, args=(split,), kwargs={"use_disk_cache": False},
+        rounds=1, iterations=1,
     )
     assert result.assignment

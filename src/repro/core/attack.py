@@ -55,13 +55,9 @@ class DLAttack:
         self,
         config: AttackConfig | None = None,
         split_layer: int = 1,
-        use_disk_cache: bool = True,
     ):
         self.config = config or AttackConfig.fast()
         self.split_layer = split_layer
-        # Gates the feature-tensor and embedding-table disk caches, so a
-        # cache-free timing run really touches no disk.
-        self.use_disk_cache = use_disk_cache
         self.model = SplitNet(self.config, split_layer)
         self.normalizer = FeatureNormalizer()
         self.log = TrainLog()
@@ -81,8 +77,7 @@ class DLAttack:
                     f"M{split.split_layer} training layout"
                 )
         datasets = [
-            SplitDataset(s, self.config, use_disk_cache=self.use_disk_cache)
-            for s in train_splits
+            SplitDataset(s, self.config) for s in train_splits
         ]
         rows = [d.all_vector_rows() for d in datasets if d.groups]
         if not rows or not any(r.shape[0] for r in rows):
@@ -116,8 +111,7 @@ class DLAttack:
         # them per epoch (as `select` does for ad-hoc layouts) would
         # redo that work O(epochs) times.
         val_datasets = [
-            SplitDataset(s, self.config, use_disk_cache=self.use_disk_cache)
-            for s in (val_splits or [])
+            SplitDataset(s, self.config) for s in (val_splits or [])
         ]
 
         self.model.train()
@@ -204,11 +198,20 @@ class DLAttack:
         return loss
 
     # -- inference ---------------------------------------------------------
-    def attack(self, split: SplitLayout) -> AttackResult:
+    def attack(
+        self, split: SplitLayout, use_disk_cache: bool = True
+    ) -> AttackResult:
         """Predict BEOL connections; runtime includes feature extraction
-        (the paper's reported inference time does too)."""
+        (the paper's reported inference time does too).
+
+        ``use_disk_cache=False`` neither reads nor writes the feature and
+        embedding caches, so a cache-free timing run really touches no
+        disk.  It is a per-call argument, not attack state, because
+        :func:`repro.pipeline.flow.trained_attack` shares one attack
+        between every caller of the same weights.
+        """
         start = time.perf_counter()
-        assignment = self.select(split)
+        assignment = self.select(split, use_disk_cache)
         elapsed = time.perf_counter() - start
         return AttackResult(
             design=split.name,
@@ -218,7 +221,9 @@ class DLAttack:
             attack_name=self.name,
         )
 
-    def select(self, split: SplitLayout) -> dict[int, int]:
+    def select(
+        self, split: SplitLayout, use_disk_cache: bool = True
+    ) -> dict[int, int]:
         if split.split_layer != self.split_layer:
             raise ValueError(
                 f"attack is for M{self.split_layer}, layout is "
@@ -227,20 +232,23 @@ class DLAttack:
         if not self.normalizer.fitted:
             raise RuntimeError("attack is not trained")
         dataset = SplitDataset(
-            split, self.config, use_disk_cache=self.use_disk_cache
+            split, self.config, use_disk_cache=use_disk_cache
         )
         return self._select_dataset(dataset)
 
     def _select_dataset(self, dataset: SplitDataset) -> dict[int, int]:
         """Inference over an already-built dataset.
 
-        Runs under eval mode but restores the previous mode on exit:
-        per-epoch validation calls this mid-training, and leaving the
-        model in eval mode there would silently disable dropout for
-        every epoch after the first.
+        Runs under eval mode.  A model in training mode (per-epoch
+        validation calls this mid-training) is switched back on exit:
+        leaving it in eval mode would silently disable dropout for every
+        epoch after the first.  A model already in eval mode, such as a
+        shared attack from ``trained_attack``, is never toggled, so
+        concurrent callers cannot see it switch under them.
         """
         was_training = self.model.training
-        self.model.eval()
+        if was_training:
+            self.model.eval()
         try:
             if self.config.use_images:
                 return self._select_deduplicated(dataset)
@@ -312,7 +320,7 @@ class DLAttack:
                 for start in range(0, table_f.shape[0], self._EMBED_CHUNK)
             ])
 
-        store = artifact_store(self.use_disk_cache)
+        store = artifact_store(dataset.use_disk_cache)
         if store.root is None:
             return build()  # skip hashing the weights for no file
         key = embeddings_key(dataset.cache_key, self.model.state_dict())

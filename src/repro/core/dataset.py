@@ -98,6 +98,8 @@ class SplitDataset:
         self.candidates: dict[int, list[VPP]] = {}
         self.tensors: FeatureTensors | None = None
 
+        # Also gates the embedding cache of the attack scoring this set.
+        self.use_disk_cache = use_disk_cache
         self.cache_key = features_key(split, config)
         store = artifact_store(use_disk_cache)
         if not store.read("features", self.cache_key, self._load_cache):

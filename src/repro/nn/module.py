@@ -12,12 +12,28 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable tensor together with its accumulated gradient."""
+    """A trainable tensor together with its accumulated gradient.
+
+    Setting ``grad`` to None releases the buffer; it comes back zeroed
+    on first use.  Loading a state does this, so a loaded model that
+    only runs inference (such as a shared attack) holds no gradient
+    memory.
+    """
 
     def __init__(self, value: np.ndarray, name: str = "param"):
         self.value = np.asarray(value)
         self.grad = np.zeros_like(self.value)
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
 
     @property
     def shape(self):
@@ -28,7 +44,8 @@ class Parameter:
         return int(self.value.size)
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name}, shape={self.value.shape})"
@@ -124,7 +141,7 @@ class Module:
                     f"{value.shape} vs {param.value.shape}"
                 )
             param.value = value.astype(param.value.dtype, copy=True)
-            param.grad = np.zeros_like(param.value)
+            param.grad = None  # zeroed again on first use
 
     def save(self, path) -> None:
         # Lazy: nn is foundation-layer and must not depend on core at

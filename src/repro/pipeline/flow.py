@@ -45,12 +45,12 @@ _SUITE_BY_NAME = {
 
 _layout_memo: dict[str, Design] = {}
 _split_memo: dict[tuple[str, int], SplitLayout] = {}
-# Trained attacks, keyed by weight key.  Only populated when the disk
-# cache is disabled: with a weight cache the disk is the sharing medium
-# (and works across processes); without one this memo is what keeps a
-# multi-scenario sweep from retraining the same model once per
-# evaluation node.
-_attack_memo: dict[str, DLAttack] = {}
+# Eval-mode attacks, one per weight key, each tagged with the
+# ``(st_mtime_ns, st_size, st_ino)`` of the weights file it was loaded
+# from, or None when trained with the disk cache disabled.  One entry
+# per key bounds the memo: a cache directory copied afresh (new inodes)
+# replaces the entry instead of adding one.
+_attack_memo: dict[str, tuple[tuple[int, int, int] | None, DLAttack]] = {}
 
 
 def clear_memo() -> None:
@@ -159,6 +159,12 @@ def trained_attack(
 
     Default training corpus: the 9 training designs, mirroring the
     paper's setup.
+
+    The returned attack is shared: every call with the same weight key
+    gets the same eval-mode object for as long as its weights file is
+    unchanged (with the disk cache disabled, for the life of the
+    process).  Callers may run inference on it from any thread, but must
+    not train it, switch its mode or otherwise mutate it.
     """
     config = config or AttackConfig.fast()
     if train_names is None:
@@ -169,13 +175,23 @@ def trained_attack(
         # No disk cache: share the trained model in-process so a sweep's
         # evaluation nodes (which run serially in this situation) train
         # once per (layer, config) rather than once per scenario.
-        memo = _attack_memo.get(key)
-        if memo is not None:
+        tag, memo = _attack_memo.get(key, (None, None))
+        if memo is not None and tag is None:
             return memo
 
     def load(path: Path) -> DLAttack:
+        stat = path.stat()
+        tag = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
+        memo_tag, memo = _attack_memo.get(key, (None, None))
+        if memo is not None and memo_tag == tag:
+            return memo
+        # Drop a stale entry before loading, so a corrupt file does not
+        # leave the old model pinned while the store rebuilds it.
+        _attack_memo.pop(key, None)
         attack = DLAttack(config, split_layer)
         attack.load(path)
+        attack.model.eval()
+        _attack_memo[key] = (tag, attack)
         return attack
 
     def build() -> DLAttack:
@@ -183,9 +199,13 @@ def trained_attack(
         attack = DLAttack(config, split_layer)
         splits = [get_split(n, split_layer) for n in train_names]
         attack.train(splits, verbose=verbose)
+        attack.model.eval()
         return attack
 
     attack = store.fetch("weights", key, load, build, DLAttack.state_arrays)
+    # With a disk cache only loads are memoised: the call after a build
+    # loads the file just written, so its record reports no training
+    # time, as it would in a fresh process.
     if store.root is None:
-        _attack_memo[key] = attack
+        _attack_memo[key] = (None, attack)
     return attack

@@ -1,0 +1,86 @@
+"""Eval-mode inference is bitwise the masked reference path.
+
+Runs the committed M1 and M3 benchmark weights over c432's committed
+feature tensors twice: once as shipped (eval-mode ``LeakyReLU`` takes
+``np.maximum``) and once with ``LeakyReLU.forward`` replaced by the
+masked ``np.where`` form that training uses.  Tower embeddings and
+``forward_from_embeddings`` scores must agree bit for bit.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import AttackConfig, DLAttack
+from repro.core.artifacts import ArtifactStore, features_key, weights_key
+from repro.nn import LeakyReLU
+from repro.pipeline import clear_memo, default_train_names, get_split
+
+COMMITTED = Path(__file__).resolve().parents[2] / ".repro_cache"
+CONFIG = AttackConfig.benchmark()
+DESIGN = "c432"
+
+
+def masked_forward(self, x):
+    self._mask = x > 0
+    return np.where(self._mask, x, self.alpha * x)
+
+
+@pytest.fixture(params=[1, 3], ids=["M1", "M3"])
+def committed(request, monkeypatch):
+    """(eval-mode attack, raw feature arrays) from the committed cache."""
+    layer = request.param
+    store = ArtifactStore(COMMITTED)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(COMMITTED))
+    clear_memo()
+    try:
+        split = get_split(DESIGN, layer)  # reads the committed DEF
+    finally:
+        clear_memo()
+    key = weights_key(CONFIG, layer, default_train_names())
+    attack = DLAttack(CONFIG, layer)
+    attack.load(store.path("weights", key))
+    attack.model.eval()
+    features = store.path("features", features_key(split, CONFIG))
+    with np.load(features) as data:
+        arrays = {k: data[k] for k in ("vec", "image_table",
+                                       "src_index", "sink_index")}
+    return attack, arrays
+
+
+def scores_and_embeddings(attack, arrays):
+    """The production inference sequence of ``_select_deduplicated``."""
+    model, chunk = attack.model, DLAttack._EMBED_CHUNK
+    table = arrays["image_table"].astype(np.float32)
+    emb = np.concatenate([
+        model.embed_images(table[s : s + chunk])
+        for s in range(0, table.shape[0], chunk)
+    ])
+    groups = arrays["vec"].shape[0]
+    batch = attack.config.batch_groups
+    scores = []
+    for s in range(0, groups, batch):
+        idx = np.arange(s, min(s + batch, groups))
+        scores.append(model.forward_from_embeddings(
+            attack.normalizer.transform(arrays["vec"][idx]),
+            emb[arrays["src_index"][idx]],
+            emb[arrays["sink_index"][idx]],
+        ))
+    return emb, np.concatenate(scores)
+
+
+def test_committed_weights_bitwise_equal_to_masked_oracle(
+    committed, monkeypatch
+):
+    attack, arrays = committed
+    emb, scores = scores_and_embeddings(attack, arrays)
+    monkeypatch.setattr(LeakyReLU, "forward", masked_forward)
+    ref_emb, ref_scores = scores_and_embeddings(attack, arrays)
+    assert emb.shape[0] == arrays["image_table"].shape[0]
+    np.testing.assert_array_equal(
+        emb.view(np.uint32), ref_emb.view(np.uint32)
+    )
+    np.testing.assert_array_equal(
+        scores.view(np.uint32), ref_scores.view(np.uint32)
+    )

@@ -51,7 +51,7 @@ def dataset(split):
 
 
 def _fitted(cfg, dataset):
-    attack = DLAttack(cfg, split_layer=3, use_disk_cache=False)
+    attack = DLAttack(cfg, split_layer=3)
     attack.normalizer.fit(dataset.all_vector_rows())
     return attack
 
@@ -219,7 +219,7 @@ class TestTrainingParity:
             cfg = AttackConfig.tiny().with_(
                 loss=loss, train_image_dedup=dedup, epochs=3
             )
-            attack = DLAttack(cfg, split_layer=3, use_disk_cache=False)
+            attack = DLAttack(cfg, split_layer=3)
             log = attack.train([split])
             runs[dedup] = (np.array(log.losses), attack.model.state_dict())
         losses_d, state_d = runs[True]

@@ -11,6 +11,7 @@ import pytest
 from repro.attacks import NetworkFlowAttack, ProximityAttack
 from repro.core import AttackConfig
 from repro.core.attack import DLAttack
+from repro.core.model import SplitNet
 from repro.defense import (
     DefenseCell,
     DefenseSweepReport,
@@ -30,6 +31,7 @@ from repro.experiments import (
     ResultsStore,
     ScenarioSpec,
     build_grid,
+    evaluate_scenario,
     plan_sweep,
     run_sweep,
 )
@@ -198,12 +200,35 @@ class TestExecution:
         assert len(calls) == 1
         clear_memo()
 
+    def test_cache_free_job_leaves_shared_attack_caching(
+        self, tmp_path, monkeypatch
+    ):
+        # Both jobs get the same memoised attack from trained_attack; the
+        # cache-free one must not switch the embedding cache off for the
+        # normal one that follows it in the same process.
+        trained_attack(3, TINY, train_names=TRAIN)
+        features = tmp_path / "cache" / "features"
+        free = evaluate_scenario(
+            dl_spec("tiny_seq", cache_free_inference=True)
+        )
+        assert not list(features.glob("emb_*.npz"))
+        normal = evaluate_scenario(dl_spec("tiny_seq"))
+        assert len(list(features.glob("emb_*.npz"))) == 1  # written
+        assert normal.ccr == free.ccr
+
+        def no_tower(self, images):
+            raise AssertionError("embeddings were not read from the cache")
+
+        monkeypatch.setattr(SplitNet, "embed_images", no_tower)
+        again = evaluate_scenario(dl_spec("tiny_seq"))  # read
+        assert again.ccr == normal.ccr
+
     def test_failed_late_node_keeps_earlier_levels(self, tmp_path,
                                                    monkeypatch):
         store = ResultsStore(tmp_path / "exp.jsonl")
         prox = ScenarioSpec(design="tiny_a", split_layer=3, attack="proximity")
 
-        def boom(self, split):
+        def boom(self, split, **kwargs):
             raise RuntimeError("dl eval failed")
 
         monkeypatch.setattr(DLAttack, "attack", boom)
@@ -252,8 +277,8 @@ def oracle_figure5_ccrs(design, layer):
         attack = trained_attack(
             layer, variant_config(TINY, variant), train_names=TRAIN
         )
-        attack.use_disk_cache = False
-        out[variant] = {design: ccr(split, attack.attack(split).assignment)}
+        result = attack.attack(split, use_disk_cache=False)
+        out[variant] = {design: ccr(split, result.assignment)}
     return out
 
 

@@ -77,6 +77,83 @@ class TestLeakyReLU:
         x = np.where(np.abs(x) < 0.1, x + 0.2, x)
         check_module_gradients(LeakyReLU(), x)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.01, 1.0, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            LeakyReLU(alpha=alpha)
+
+
+def masked_leaky_relu(x, alpha):
+    """The training-mode form, kept as the oracle of the eval path."""
+    return np.where(x > 0, x, alpha * x)
+
+
+def special_float32():
+    info = np.finfo(np.float32)
+    tiny = info.smallest_subnormal
+    return np.array(
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+         tiny, -tiny, 3 * tiny, -3 * tiny,
+         info.smallest_normal, -info.smallest_normal,
+         info.smallest_normal / 2, -info.smallest_normal / 2,
+         info.max, -info.max, 1.0, -1.0],
+        dtype=np.float32,
+    )
+
+
+class TestLeakyReLUEval:
+    """Eval mode takes ``np.maximum(x, alpha * x)``: bitwise the masked
+    oracle, with no mask kept."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.2])
+    def test_special_values_bitwise(self, alpha):
+        x = special_float32()
+        got = LeakyReLU(alpha).eval()(x)
+        want = masked_leaky_relu(x, alpha)
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(
+            got.view(np.uint32), want.view(np.uint32)
+        )
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.2])
+    def test_normal_draws_bitwise(self, alpha):
+        x = rng().standard_normal(10**6).astype(np.float32)
+        got = LeakyReLU(alpha).eval()(x)
+        np.testing.assert_array_equal(
+            got.view(np.uint32), masked_leaky_relu(x, alpha).view(np.uint32)
+        )
+
+    def test_strided_view_bitwise_and_input_untouched(self):
+        # The conv tower hands LeakyReLU a transposed (NHWC -> NCHW) view.
+        x = rng().standard_normal((2, 5, 5, 3)).astype(np.float32)
+        view = x.transpose(0, 3, 1, 2)
+        before = x.copy()
+        got = LeakyReLU().eval()(view)
+        np.testing.assert_array_equal(
+            got.view(np.uint32),
+            masked_leaky_relu(view, 0.01).view(np.uint32),
+        )
+        np.testing.assert_array_equal(x, before)
+
+    def test_eval_keeps_no_mask_and_backward_raises(self):
+        act = LeakyReLU()
+        act(np.array([-1.0, 1.0], dtype=np.float32))
+        assert act._mask is not None  # training mode keeps it
+        act.eval()
+        act(np.array([-1.0, 1.0], dtype=np.float32))
+        assert act._mask is None
+        with pytest.raises(RuntimeError, match="before forward"):
+            act.backward(np.ones(2, dtype=np.float32))
+
+    def test_train_mode_unchanged(self):
+        x = special_float32()
+        act = LeakyReLU(alpha=0.1)
+        got = act(x)
+        np.testing.assert_array_equal(act._mask, x > 0)
+        np.testing.assert_array_equal(
+            got.view(np.uint32), masked_leaky_relu(x, 0.1).view(np.uint32)
+        )
+
 
 class TestConv2D:
     def test_identity_kernel(self):

@@ -28,6 +28,22 @@ class TestParameter:
         p.zero_grad()
         assert np.all(p.grad == 0)
 
+    def test_released_grad_comes_back_zeroed(self):
+        p = Parameter(np.ones((2, 3), dtype=np.float32))
+        p.grad += 5.0
+        p.grad = None
+        p.zero_grad()
+        assert p._grad is None  # zero_grad allocates nothing
+        assert p.grad.dtype == np.float32 and np.all(p.grad == 0)
+
+    def test_load_drops_gradients(self):
+        net = make_net()
+        for param in net.parameters():
+            param.grad += 1.0
+        net.load_state_dict(make_net(seed=1).state_dict())
+        assert all(param._grad is None for param in net.parameters())
+        assert all(np.all(param.grad == 0) for param in net.parameters())
+
     def test_size_and_shape(self):
         p = Parameter(np.zeros((3, 4)))
         assert p.size == 12
