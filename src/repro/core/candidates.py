@@ -8,9 +8,11 @@ with three criteria, all reproduced here:
    other.  Pin p prefers pin q when q lies on the opposite side of a
    wire segment attached to p (the BEOL continuation does not double
    back over existing wire); pins without split-layer segments (bare
-   via stacks) prefer everything.  This is deliberately looser than the
-   flow attack's direction handling, per the paper's observation that
-   non-preferred-direction wires are common in congested designs.
+   via stacks) prefer everything.  The rule is deliberately loose, per
+   the paper's observation that non-preferred-direction wires are
+   common in congested designs.  (``attacks/network_flow.py`` uses no
+   direction information at all: its candidate edges are the k nearest
+   sources by distance.)
 2. **non-duplication** — fragments can expose several virtual pins; per
    (sink fragment, source fragment) pair only the VPP closest along the
    split layer's non-preferred direction survives (net length is

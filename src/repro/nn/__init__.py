@@ -9,7 +9,6 @@ each with hand-derived, gradient-checked backward passes.
 from .conv_utils import (
     col2im,
     conv_output_size,
-    default_conv_matmul_mode,
     im2col,
     same_padding,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "check_module_gradients",
     "col2im",
     "conv_output_size",
-    "default_conv_matmul_mode",
     "he_normal",
     "im2col",
     "numerical_gradient",

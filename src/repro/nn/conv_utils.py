@@ -13,27 +13,56 @@ divides evenly, and the backward scatter-add collapses to one reshape
 because no two patches touch the same pixel.  Both paths are bit-exact
 with each other (see ``tests/nn/test_conv_utils.py``).
 
-The ``stride < kernel`` case (two thirds of the Table 2 tower) has a
-**blocked** execution mode: instead of materialising the full
-``ascontiguousarray(cols)`` copy — 9x the input for the stride-1
-layers — the conv matmul consumes the strided window view in blocks of
-whole images, copying one cache-sized block at a time and feeding it
-straight to the gemm.  Bit-exactness with the materialising reference
-mode is **structural**, not a BLAS accident: both modes partition the
-patch rows with the same :func:`images_per_block` schedule and issue
-identical per-block gemm calls (same shapes, same operand values, same
-accumulation order), so they produce identical bits on any BLAS.  A
-single full gemm over a differently-sized operand is *not* bit-stable
-on real BLAS builds (kernel dispatch depends on the matrix shape),
-which is why the reference mode shares the block schedule instead of
-calling one big matmul.
+The ``stride < kernel`` case (two thirds of the Table 2 tower) runs the
+conv matmul over blocks of whole images, sized by
+:func:`images_per_block` to stay cache-resident, and never holds the
+full ``kernel**2``-times-larger cols copy.  Each block is gathered
+**K-major**: the window view :func:`kmajor_window_view` has shape
+(C, k, k, N, out_h, out_w), so a block copies into a contiguous
+``(C*k*k, rows)`` array ``colsT`` whose inner runs are ``out_w``
+contiguous floats instead of ``k``.  The gemm takes ``colsT.T`` — the
+same logical (rows, C*k*k) matrix, handed to BLAS transposed — and the
+weight gradient is ``colsT @ g``.  The input gradient keeps the
+row-major ``g @ W.T`` and :func:`_col2im_general` fold: a K-major fold
+needs a transposing copy of the (rows, C*k*k) gradient, which costs
+more than it saves at the benchmark config's sizes.
+
+Two kinds of equality hold, and they rest on different grounds:
+
+* **Blocked vs reference mode: structural, on any BLAS.**  The
+  ``"reference"`` mode (the test oracle) materialises the full K-major
+  array up front; both modes partition the rows with the same
+  :func:`images_per_block` schedule and issue identical per-block gemm
+  calls (same shapes, layouts, operand values and accumulation order).
+  A single full gemm over a differently-sized operand is *not*
+  bit-stable on real BLAS builds (kernel dispatch depends on the
+  matrix shape), which is why the reference mode shares the block
+  schedule instead of calling one big matmul.
+* **K-major vs the row-major layout: measured, not structural.**  A
+  gemm given a transposed operand packs it through a different copy
+  routine, and small-matrix kernels may accumulate in a different
+  order.  On OpenBLAS 0.3.31's native AVX-512 (SkylakeX) kernels and
+  under ``OPENBLAS_CORETYPE=Haswell`` (AVX2), forward outputs, weight
+  gradients and input gradients are bitwise equal to the row-major
+  gather (:func:`_im2col_general` rows, ``cols @ W``, ``cols.T @ g``,
+  :func:`_col2im_general`) for every stride-1 layer of the
+  ``AttackConfig.benchmark()`` and ``paper()`` towers at M1 and M3, at
+  every block size from one image to :func:`images_per_block`
+  (``tests/nn/test_conv_kmajor_oracle.py``), and the committed M1/M3
+  weights embed c432 bitwise as before
+  (``tests/core/test_eval_parity.py``).  The test also passes under
+  the Sandybridge, Nehalem and Prescott kernels.  The ``tiny()``
+  config's small convs (4-, 8- and 12-channel inputs) are *not*
+  bitwise with the old layout on the AVX-512 kernels; no committed
+  artifact uses that config.  One detail is load-bearing: the weight
+  gradient copies a one-image ``g`` (an F-ordered view) contiguous,
+  without which it differs on AVX-512.  The form ``(W @ g.T).T`` for
+  the input gradient differs under Haswell, and is not used.
 
 Layout convention is NCHW throughout.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -41,42 +70,6 @@ import numpy as np
 # 256k f32 elements = 1 MiB, small enough to stay cache-resident while
 # the gemm consumes it, large enough to amortise the per-block call.
 _BLOCK_TARGET_ELEMS = 1 << 18
-
-# "auto" threshold: materialise the full cols array while it is at most
-# this many elements (~32 MiB f32).  Below it the one-shot gather is
-# faster (the blocked mode re-gathers windows in backward); above it
-# the cols copy thrashes cache/RSS and the blocked mode wins on both
-# time and peak memory (measured at the paper's 99x99 scale).
-_MATERIALIZE_LIMIT_ELEMS = 1 << 23
-
-_CONV_MATMUL_MODES = ("auto", "blocked", "reference")
-
-
-def default_conv_matmul_mode() -> str:
-    """Process-wide default for the stride<kernel conv execution mode.
-
-    ``REPRO_CONV_MATMUL`` can pin ``blocked`` (never materialise the
-    cols copy) or ``reference`` (always materialise — the parity oracle
-    and pre-blocking behaviour); anything else (including unset) keeps
-    ``auto``, which picks per call by cols size.  The choice never
-    affects numerics: all modes share the same block partition and so
-    produce identical bits.
-    """
-    mode = os.environ.get("REPRO_CONV_MATMUL", "auto")
-    return mode if mode in _CONV_MATMUL_MODES else "auto"
-
-
-def resolve_conv_matmul_mode(mode: str, total_rows: int, patch_len: int) -> str:
-    """Collapse ``"auto"`` to a concrete execution mode for one call.
-
-    Pure function of the logical cols shape, so a given call site is
-    deterministic — and either answer is bit-identical anyway.
-    """
-    if mode == "auto":
-        if total_rows * patch_len <= _MATERIALIZE_LIMIT_ELEMS:
-            return "reference"
-        return "blocked"
-    return mode
 
 
 def same_padding(in_size: int, kernel: int, stride: int) -> tuple[int, int]:
@@ -226,21 +219,21 @@ def pad_input(
     return xp, xp.shape
 
 
-def window_view(
+def kmajor_window_view(
     xp: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
 ) -> np.ndarray:
-    """Read-only (N, out_h, out_w, C, k, k) window view over padded input.
+    """Read-only (C, k, k, N, out_h, out_w) window view over padded input.
 
-    Axis 0 is whole images, so slicing ``view[a:b]`` selects an image
-    block whose ``ascontiguousarray(...).reshape(rows, C*k*k)`` equals
-    the corresponding row slice of the full materialised ``cols``.
+    Axis 3 is whole images, so ``view[:, :, :, a:b]`` copied contiguous
+    and reshaped to ``(C*k*k, rows)`` is the transpose of rows
+    ``[a*out_h*out_w, b*out_h*out_w)`` of :func:`im2col`'s cols.
     """
     n, c = xp.shape[0], xp.shape[1]
     sn, sc, sh, sw = xp.strides
     return np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, out_h, out_w, c, kernel, kernel),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
+        shape=(c, kernel, kernel, n, out_h, out_w),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
         writeable=False,
     )
 
@@ -259,18 +252,19 @@ def images_per_block(rows_per_image: int, patch_len: int) -> int:
 def conv_forward_blocks(
     get_block, n_images: int, ipb: int, weight: np.ndarray, bias: np.ndarray
 ) -> np.ndarray:
-    """Forward gemm over image blocks: ``cols_block @ weight + bias``.
+    """Forward gemm over image blocks: ``colsT_block.T @ weight + bias``.
 
-    ``get_block(a, b)`` must return the contiguous cols rows for images
-    ``[a, b)``.  Both execution modes call this with the same ``ipb``,
-    so every gemm has identical shape and operand values in each mode.
+    ``get_block(a, b)`` must return the contiguous K-major cols
+    ``(C*k*k, rows)`` for images ``[a, b)``.  Both execution modes call
+    this with the same ``ipb``, so every gemm has identical shape,
+    layout and operand values in each mode.
     """
     if n_images == 0:
         return np.zeros((0, weight.shape[1]), dtype=weight.dtype)
     parts = []
     for a in range(0, n_images, ipb):
         b = min(a + ipb, n_images)
-        parts.append(get_block(a, b) @ weight + bias)
+        parts.append(get_block(a, b).T @ weight + bias)
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
@@ -299,9 +293,10 @@ def conv_backward_blocks(
     grad_padded = np.zeros((n_images, c, hp, wp), dtype=g2d.dtype)
     for a in range(0, n_images, ipb):
         b = min(a + ipb, n_images)
-        cols_b = get_block(a, b)
         g_b = g2d[a * rows_per_image : b * rows_per_image]
-        wg += cols_b.T @ g_b
+        # A one-image g2d is an F-ordered view; with it the K-major
+        # weight gradient is not bitwise the row-major one on AVX-512.
+        wg += get_block(a, b) @ np.ascontiguousarray(g_b)
         bg += g_b.sum(axis=0)
         grad_padded[a:b] = _col2im_general(
             g_b @ weight.T, (b - a, c, hp, wp), out_h, out_w, kernel, stride

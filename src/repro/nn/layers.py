@@ -2,7 +2,9 @@
 
 Every layer follows the same contract:
 
-* ``forward(x)`` caches whatever the backward pass needs;
+* ``forward(x)`` caches whatever the backward pass needs — in
+  training mode only: in eval mode the layers with parameters or a
+  mask keep no activations, and their ``backward`` raises;
 * ``backward(grad_out)`` accumulates parameter gradients in-place and
   returns the gradient with respect to the layer input.
 
@@ -20,13 +22,11 @@ from .conv_utils import (
     conv_backward_blocks,
     conv_forward_blocks,
     conv_output_size,
-    default_conv_matmul_mode,
     im2col,
     images_per_block,
+    kmajor_window_view,
     pad_input,
-    resolve_conv_matmul_mode,
     unpad_gradient,
-    window_view,
 )
 from .module import Module, Parameter
 
@@ -46,7 +46,8 @@ class Dense(Module):
 
     Accepts inputs of any leading shape ``(..., in_features)`` — the
     network applies the same fc stack to all ``n`` candidate VPPs of a
-    sink fragment at once.
+    sink fragment at once.  In eval mode ``forward`` keeps no reference
+    to its input and ``backward`` raises.
     """
 
     def __init__(
@@ -73,7 +74,7 @@ class Dense(Module):
             raise ValueError(
                 f"Dense expected last dim {self.in_features}, got {x.shape}"
             )
-        self._x = x
+        self._x = x if self.training else None
         return x @ self.weight.value + self.bias.value
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -126,17 +127,15 @@ class Conv2D(Module):
 
     ``stride == kernel`` keeps the non-overlapping single-gemm fast
     path.  ``stride < kernel`` runs the matmul over whole-image blocks
-    in one of two modes sharing the same block partition (see
-    ``conv_utils``): ``"blocked"`` consumes the strided window view one
-    cache-sized block at a time (no full ``cols`` materialisation),
-    ``"reference"`` materialises ``cols`` up front.  The shared
-    partition makes the two modes bit-exact on any BLAS, so ``"auto"``
-    may freely pick per call: materialise while the cols copy is
-    cache-sized, stream blocks once it would thrash.
+    of K-major cols (see ``conv_utils``), gathering each cache-sized
+    block from the padded input's window view as it goes.
+    ``matmul_mode="reference"`` materialises the whole K-major cols
+    array up front instead; it shares the block partition and issues
+    identical gemms, so it is bit-exact with the default on any BLAS,
+    and exists only as the test oracle.
 
-    ``matmul_mode=None`` (the default) defers to
-    :func:`default_conv_matmul_mode`, i.e. the ``REPRO_CONV_MATMUL``
-    environment override or ``"auto"``.
+    In eval mode ``forward`` keeps no activations and ``backward``
+    raises.
     """
 
     def __init__(
@@ -148,9 +147,11 @@ class Conv2D(Module):
         rng: np.random.Generator | None = None,
         dtype=DEFAULT_DTYPE,
         name: str = "conv",
-        matmul_mode: str | None = None,
+        matmul_mode: str = "blocked",
     ):
         super().__init__()
+        if matmul_mode not in ("blocked", "reference"):
+            raise ValueError(f"unknown conv matmul mode {matmul_mode!r}")
         rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -166,20 +167,25 @@ class Conv2D(Module):
         self._cache: tuple | None = None
 
     def _get_block(self, store: tuple, out_h: int, out_w: int):
-        """Block accessor over either a materialised cols array
-        ("reference") or the padded input's window view ("blocked")."""
+        """Block accessor returning contiguous K-major cols, over either
+        the materialised array ("reference") or the padded input's
+        window view ("blocked")."""
         kind, data = store
         rows_per_image = out_h * out_w
         patch_len = self.in_channels * self.kernel * self.kernel
         if kind == "cols":
             def get_block(a: int, b: int) -> np.ndarray:
-                return data[a * rows_per_image : b * rows_per_image]
+                return np.ascontiguousarray(
+                    data[:, a * rows_per_image : b * rows_per_image]
+                )
         else:
-            windows = window_view(data, self.kernel, self.stride, out_h, out_w)
+            windows = kmajor_window_view(
+                data, self.kernel, self.stride, out_h, out_w
+            )
 
             def get_block(a: int, b: int) -> np.ndarray:
-                block = np.ascontiguousarray(windows[a:b])
-                return block.reshape((b - a) * rows_per_image, patch_len)
+                block = np.ascontiguousarray(windows[:, :, :, a:b])
+                return block.reshape(patch_len, (b - a) * rows_per_image)
         return get_block
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -193,27 +199,25 @@ class Conv2D(Module):
         if self.stride == self.kernel:
             cols, padded_shape = im2col(x, self.kernel, self.stride)
             out = cols @ self.weight.value + self.bias.value
-            self._cache = ("nonoverlap", cols, padded_shape, (h, w))
+            cache = ("nonoverlap", cols, padded_shape, (h, w))
         else:
-            mode = resolve_conv_matmul_mode(
-                self.matmul_mode or default_conv_matmul_mode(),
-                n * out_h * out_w,
-                self.in_channels * self.kernel * self.kernel,
-            )
-            if mode == "reference":
-                cols, padded_shape = im2col(x, self.kernel, self.stride)
-                store = ("cols", cols)
+            patch_len = self.in_channels * self.kernel * self.kernel
+            xp, padded_shape = pad_input(x, self.kernel, self.stride)
+            if self.matmul_mode == "reference":
+                windows = kmajor_window_view(
+                    xp, self.kernel, self.stride, out_h, out_w
+                )
+                cols_t = np.ascontiguousarray(windows).reshape(patch_len, -1)
+                store = ("cols", cols_t)
             else:
-                xp, padded_shape = pad_input(x, self.kernel, self.stride)
                 store = ("xp", xp)
-            ipb = images_per_block(
-                out_h * out_w, self.in_channels * self.kernel * self.kernel
-            )
+            ipb = images_per_block(out_h * out_w, patch_len)
             out = conv_forward_blocks(
                 self._get_block(store, out_h, out_w),
                 n, ipb, self.weight.value, self.bias.value,
             )
-            self._cache = ("general", store, padded_shape, (h, w))
+            cache = ("general", store, padded_shape, (h, w))
+        self._cache = cache if self.training else None
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Blocked vs reference conv matmul: bit-exactness and correctness.
 
 The stride<kernel Conv2D path has two execution modes sharing one
-block partition (see ``repro.nn.conv_utils``): ``"reference"``
-materialises the full im2col cols array, ``"blocked"`` consumes the
-strided window view one image block at a time.  Because both issue
-identical per-block gemms, every output — forward activations, weight
-and bias gradients, input gradients — must match *bitwise*, not just
-approximately, on any BLAS.
+block partition (see ``repro.nn.conv_utils``): ``"reference"`` (the
+test oracle) materialises the full K-major cols array, ``"blocked"``
+(production) gathers K-major blocks from the strided window view one
+image block at a time.  Because both issue identical per-block gemms,
+every output — forward activations, weight and bias gradients, input
+gradients — must match *bitwise*, not just approximately, on any BLAS.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from repro.nn import (
     Conv2D,
     check_module_gradients,
     conv_output_size,
-    default_conv_matmul_mode,
     same_padding,
 )
 from repro.nn.conv_utils import _BLOCK_TARGET_ELEMS, images_per_block
@@ -150,32 +150,6 @@ class TestBlockedCorrectness:
 
 
 class TestModeSelection:
-    def test_default_mode_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CONV_MATMUL", raising=False)
-        assert default_conv_matmul_mode() == "auto"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_MATMUL", "reference")
-        assert default_conv_matmul_mode() == "reference"
-        monkeypatch.setenv("REPRO_CONV_MATMUL", "blocked")
-        assert default_conv_matmul_mode() == "blocked"
-        monkeypatch.setenv("REPRO_CONV_MATMUL", "nonsense")
-        assert default_conv_matmul_mode() == "auto"
-
-    def test_auto_resolves_by_cols_size(self):
-        from repro.nn.conv_utils import (
-            _MATERIALIZE_LIMIT_ELEMS,
-            resolve_conv_matmul_mode,
-        )
-
-        small = resolve_conv_matmul_mode("auto", 100, 27)
-        big = resolve_conv_matmul_mode(
-            "auto", _MATERIALIZE_LIMIT_ELEMS, 27
-        )
-        assert (small, big) == ("reference", "blocked")
-        assert resolve_conv_matmul_mode("blocked", 1, 1) == "blocked"
-        assert resolve_conv_matmul_mode("reference", 10**9, 1) == "reference"
-
     def test_partition_is_shape_only(self):
         # The block size must be a pure function of the logical shape —
         # that's what keeps the two modes aligned.
@@ -185,7 +159,8 @@ class TestModeSelection:
     def test_blocked_avoids_full_cols_materialisation(self):
         """The point of the blocked mode: its forward cache holds the
         padded input, not a kernel**2-times-larger cols copy."""
-        conv = Conv2D(4, 4, kernel=3, stride=1, matmul_mode="blocked")
+        conv = Conv2D(4, 4, kernel=3, stride=1)
+        assert conv.matmul_mode == "blocked"
         x = np.zeros((2, 4, 15, 15), dtype=np.float32)
         conv(x)
         kind, store, _, _ = conv._cache
@@ -211,3 +186,7 @@ class TestModeSelection:
             outs.append(conv(x))
             assert conv._cache[0] == "nonoverlap"
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="matmul mode"):
+            Conv2D(2, 2, matmul_mode="auto")

@@ -191,6 +191,33 @@ class TestConv2D:
         np.testing.assert_allclose(out, 3.5)
 
 
+class TestEvalKeepsNoActivations:
+    """In eval mode the layers with parameters cache nothing, so a
+    shared inference model holds only its weights."""
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: Dense(3, 4, rng=rng()), (2, 5, 3)),
+        (lambda: Conv2D(2, 3, kernel=3, stride=1, rng=rng()), (2, 2, 7, 7)),
+        (lambda: Conv2D(2, 3, kernel=3, stride=3, rng=rng()), (2, 2, 7, 7)),
+    ], ids=["dense", "conv-stride1", "conv-stride3"])
+    def test_eval_forward_stores_nothing_and_backward_raises(self, make, shape):
+        layer = make()
+        x = rng().standard_normal(shape).astype(np.float32)
+        want = layer(x)
+        grad = np.ones_like(want)
+        layer.eval()
+        got = layer(x)
+        np.testing.assert_array_equal(got, want)
+        assert not any(
+            isinstance(v, (np.ndarray, tuple)) for v in vars(layer).values()
+        )
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(grad)
+        layer.train()
+        np.testing.assert_array_equal(layer(x), want)
+        assert layer.backward(grad).shape == x.shape
+
+
 class TestPoolingAndFlatten:
     def test_global_avg_pool_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)

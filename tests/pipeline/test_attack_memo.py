@@ -83,6 +83,20 @@ def in_eval_mode(module: Module) -> bool:
     return not module.training and all(in_eval_mode(c) for c in children)
 
 
+def held_arrays(value, path: str = "model") -> list[str]:
+    """Paths under ``value`` (a module, or a tuple/list in one) that
+    hold an array; a ``Parameter`` is neither followed nor counted."""
+    if isinstance(value, np.ndarray):
+        return [path]
+    if isinstance(value, Module):
+        items = vars(value).items()
+    elif isinstance(value, (list, tuple)):
+        items = ((str(i), v) for i, v in enumerate(value))
+    else:
+        return []
+    return [p for name, v in items for p in held_arrays(v, f"{path}.{name}")]
+
+
 def test_two_calls_make_one_load(cache, load_calls):
     first, second = attack(), attack()
     assert first is second
@@ -186,3 +200,12 @@ def test_concurrent_select_on_memoised_attack(cache):
     assert all(r == want for r in results)
     assert in_eval_mode(shared.model)
     assert attack() is shared
+
+
+def test_shared_attack_layers_hold_no_arrays_after_select(cache):
+    """A shared eval-mode attack keeps no activations: the conv tower
+    and fc layers store nothing that later callers could pin or
+    overwrite."""
+    shared = attack()
+    shared.select(get_split(TARGET, LAYER), use_disk_cache=False)
+    assert held_arrays(shared.model) == []
