@@ -1,31 +1,26 @@
 #!/usr/bin/env python3
-"""Wall-clock benchmark of the Table 3 evaluation path.
+"""Wall-clock benchmark of the golden sweep on the committed cache.
 
-Times ``run_table3`` on a design subset with the benchmark config and a
-warm layout cache — the measurement behind the engine speedup numbers
-in ``results/perf_engine.txt``.  Run it against the current tree, or
-point PYTHONPATH at an older checkout to measure a baseline:
+Times an eight-scenario proximity+flow sweep (c432 and c880 at M1 and
+M3) on the committed warm ``.repro_cache``, a 50x resume of the
+populated store, and one training epoch — seconds, not minutes, which
+is what the CI perf gate times.  End-to-end timing of the Table 3
+path, cold and warm, is the repo benchmark's job (``perfbench/``:
+``cold-attack`` and ``warm-service``).
 
-    PYTHONPATH=src python scripts/bench_engine.py --label new-serial
-    PYTHONPATH=/tmp/seedtree/src python scripts/bench_engine.py --label seed
-
-Trained weights are expected in the shared ``.repro_cache`` (train them
-once beforehand with any run); training time is excluded so the number
-isolates the evaluation hot path the engine rework targets.
+    PYTHONPATH=src python scripts/bench_engine.py --label local
 
 Besides the human-readable summary, ``--emit-json`` writes a versioned
 ``BENCH_engine.json`` artifact (schema in :mod:`repro.obs.bench`) that
 ``repro bench compare`` gates against ``results/baselines/``.
-``--golden`` swaps the full Table 3 run for the golden two-scenario
-proximity sweep on the committed warm ``.repro_cache`` — seconds, not
-minutes, which is what the CI perf gate times.  ``--profile`` samples
-the run and prints the hottest stacks.
+``--profile`` samples the run and prints the hottest stacks;
+``--append-report`` appends the summary and the metrics snapshot to
+``results/perf_engine.txt``.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import tempfile
@@ -33,21 +28,16 @@ import time
 from pathlib import Path
 
 from repro.core import AttackConfig
-from repro.eval import run_table3
+from repro.obs import metrics as obs_metrics
 from repro.obs.bench import BenchMetric, make_artifact, write_artifact
 from repro.obs.profile import SamplingProfiler
 
-DEFAULT_DESIGNS = ["c432", "c880", "c1355", "b11", "b13", "c2670"]
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def registry_snapshot() -> str:
     """Counter/sum/count samples from the in-process metrics registry
-    (histogram buckets omitted), or "" on a checkout without repro.obs."""
-    try:
-        from repro.obs import metrics as obs_metrics
-    except ImportError:
-        return ""
+    (histogram buckets omitted), or "" when it is empty."""
     lines = [
         "  " + line
         for line in obs_metrics.get_registry().render().splitlines()
@@ -59,15 +49,13 @@ def registry_snapshot() -> str:
 
 
 def golden_sweep(args) -> tuple[dict, list[BenchMetric]]:
-    """The CI-sized measurement: an eight-scenario proximity+flow sweep
-    on the committed warm ``.repro_cache``.
+    """The eight-scenario proximity+flow sweep on the committed warm
+    ``.repro_cache``.
 
     Cold wall-clock is best-of-3 against a fresh scratch store each
     round (best-of beats mean on noisy shared CI runners); the resume
     number re-opens the populated store 50 times so store load +
-    planning dominate instead of timer jitter.  Metric names are
-    disjoint from the full Table 3 run's so a golden baseline never
-    gates a full run or vice versa."""
+    planning dominate instead of timer jitter."""
     os.environ["REPRO_CACHE_DIR"] = str(REPO_ROOT / ".repro_cache")
     scratch = Path(tempfile.mkdtemp(prefix="repro_bench_engine_"))
     os.environ["REPRO_RESULTS_DIR"] = str(scratch)
@@ -116,7 +104,6 @@ def golden_sweep(args) -> tuple[dict, list[BenchMetric]]:
 
     summary = {
         "label": args.label,
-        "mode": "golden",
         "designs": ["c432", "c880"],
         "scenarios": len(specs),
         "workers": args.workers,
@@ -134,52 +121,10 @@ def golden_sweep(args) -> tuple[dict, list[BenchMetric]]:
     return summary, metrics
 
 
-def full_table3(args) -> tuple[dict, list[BenchMetric]]:
-    config = AttackConfig.benchmark()
-    kwargs = dict(
-        designs=args.designs,
-        split_layers=tuple(args.layers),
-        config=config,
-        flow_timeout_s=args.flow_timeout,
-    )
-    # Older checkouts have no ``workers`` parameter; only pass it where
-    # it exists so the same script times both sides.
-    if "workers" in inspect.signature(run_table3).parameters:
-        kwargs["workers"] = args.workers
-
-    start = time.perf_counter()
-    report = run_table3(**kwargs)
-    elapsed = time.perf_counter() - start
-
-    summary = {
-        "label": args.label,
-        "mode": "table3",
-        "designs": args.designs,
-        "layers": args.layers,
-        "workers": args.workers,
-        "wall_clock_s": round(elapsed, 2),
-        "rows": len(report.rows),
-        "ccr_dl": {
-            f"{r.design}/M{r.split_layer}": round(r.ccr_dl, 4)
-            for r in report.rows
-        },
-    }
-    metrics = [BenchMetric("table3_wall_s", elapsed, unit="s")]
-    return summary, metrics
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--designs", nargs="+", default=DEFAULT_DESIGNS)
-    parser.add_argument("--layers", type=int, nargs="+", default=[1, 3])
-    parser.add_argument("--flow-timeout", type=float, default=30.0)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--label", default="run")
-    parser.add_argument(
-        "--golden", action="store_true",
-        help="time the golden two-scenario warm-cache sweep instead of "
-        "the full Table 3 run (seconds, not minutes; the CI perf gate)",
-    )
     parser.add_argument(
         "--emit-json", metavar="PATH", nargs="?",
         const=str(REPO_ROOT / "BENCH_engine.json"), default=None,
@@ -200,13 +145,12 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    measure = golden_sweep if args.golden else full_table3
     if args.profile:
         with SamplingProfiler() as profiler:
-            summary, metrics = measure(args)
+            summary, metrics = golden_sweep(args)
     else:
         profiler = None
-        summary, metrics = measure(args)
+        summary, metrics = golden_sweep(args)
 
     print(json.dumps(summary, indent=2))
     if profiler is not None:

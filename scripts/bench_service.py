@@ -18,12 +18,12 @@ The store is populated one of two ways:
   are replayed.
 
 ``--scenario deep-history`` benchmarks the *read path at depth*: it
-seeds stores of increasing size (100 -> 10,000 records by default) on
-both storage backends, measures paginated ``GET /results?limit=N``
-latency at each depth, and asserts the p50 stays flat (within
-``--tolerance``) as history grows — the indexed-store acceptance bar.
-It finishes with a hundreds-of-clients stage: ``--clients`` concurrent
-client threads paging the deepest store at once.
+seeds JSONL stores of increasing size (100 -> 10,000 records by
+default), measures paginated ``GET /results?limit=N`` latency at each
+depth, and asserts the p50 stays flat (within ``--tolerance``) as
+history grows.  It finishes with a hundreds-of-clients stage:
+``--clients`` concurrent client threads paging the deepest store at
+once.
 
 ``--scenario all`` runs both and writes one combined report.
 
@@ -100,17 +100,16 @@ def scrape_snapshot(client) -> str:
     return "\n".join(lines)
 
 
-def deep_store(scratch: Path, backend: str, depth: int):
-    """A scratch store of one backend kind holding ``depth`` distinct
-    synthetic scenario records."""
+def deep_store(scratch: Path, depth: int):
+    """A scratch store holding ``depth`` distinct synthetic scenario
+    records."""
     from repro.experiments import (
         ResultsStore,
         ScenarioRecord,
         ScenarioSpec,
     )
 
-    suffix = {"jsonl": "jsonl", "sqlite": "sqlite"}[backend]
-    store = ResultsStore(scratch / f"deep_{backend}_{depth}.{suffix}")
+    store = ResultsStore(scratch / f"deep_{depth}.jsonl")
     records = []
     for i in range(depth):
         spec = ScenarioSpec(
@@ -131,8 +130,8 @@ def deep_store(scratch: Path, backend: str, depth: int):
 def deep_history_scenario(
     args, scratch: Path
 ) -> tuple[list, list[str], list]:
-    """Paginated read latency vs store depth, per storage backend, then
-    a hundreds-of-clients stage on the deepest indexed store.
+    """Paginated read latency vs store depth, then a
+    hundreds-of-clients stage on the deepest store.
 
     Returns the report sections, any acceptance failures, and the
     benchmark metrics for the JSON artifact.
@@ -145,73 +144,61 @@ def deep_history_scenario(
     depths = [int(d) for d in args.depths.split(",")]
     # Rotate over pages that are full at *every* depth, so each request
     # serves identical work and depth is the only variable.  (Deep
-    # offsets would measure OFFSET's O(k) scan; offsets past the end of
+    # offsets would measure the O(offset) skip; offsets past the end of
     # the shallow store would compare full pages against empty ones.)
     pages = max(1, min(depths) // args.page)
     sections, failures = [], []
-    deepest_sqlite = None
-    for backend in ("jsonl", "sqlite"):
-        p50s = {}
-        for depth in depths:
-            store = deep_store(scratch, backend, depth)
-            if backend == "sqlite":
-                deepest_sqlite = store
-            service = AttackService(
-                store=store, queue_path=scratch / f"q_{backend}_{depth}.jsonl"
-            )
-            service.start()
-            try:
-                client = ServiceClient(service.url, timeout=30.0)
-
-                def page(i: int) -> None:
-                    out = client.results_page(
-                        limit=args.page,
-                        offset=args.page * (i % pages),
-                    )
-                    if out["total"] != depth:
-                        raise RuntimeError(
-                            f"expected {depth} records, saw {out['total']}"
-                        )
-
-                run_load(page, 20, 1, "warmup")
-                report = run_load(
-                    page,
-                    args.requests,
-                    args.concurrency,
-                    label=(
-                        f"GET /results?limit={args.page} "
-                        f"[{backend}, {depth} records]"
-                    ),
-                )
-                sections.append(report)
-                p50s[depth] = report.percentile(50)
-                if report.errors:
-                    failures.append(
-                        f"{backend}@{depth}: {report.errors} errors"
-                    )
-            finally:
-                service.stop()
-        ratio = p50s[depths[-1]] / max(p50s[depths[0]], 1e-9)
-        flat = ratio <= 1.0 + args.tolerance
-        bench_metrics.append(BenchMetric(
-            f"deep_{backend}_p50_ms",
-            1e3 * p50s[depths[-1]], unit="ms",
-        ))
-        print(
-            f"{backend}: p50 {1e3 * p50s[depths[0]]:.2f} ms @ "
-            f"{depths[0]} -> {1e3 * p50s[depths[-1]]:.2f} ms @ "
-            f"{depths[-1]} records (x{ratio:.2f}) "
-            f"{'FLAT' if flat else 'NOT FLAT'}"
+    p50s = {}
+    for depth in depths:
+        store = deep_store(scratch, depth)
+        service = AttackService(
+            store=store, queue_path=scratch / f"q_{depth}.jsonl"
         )
-        if not flat:
-            failures.append(
-                f"{backend}: p50 grew x{ratio:.2f} from "
-                f"{depths[0]} to {depths[-1]} records "
-                f"(tolerance x{1.0 + args.tolerance:.2f})"
+        service.start()
+        try:
+            client = ServiceClient(service.url, timeout=30.0)
+
+            def page(i: int) -> None:
+                out = client.results_page(
+                    limit=args.page,
+                    offset=args.page * (i % pages),
+                )
+                if out["total"] != depth:
+                    raise RuntimeError(
+                        f"expected {depth} records, saw {out['total']}"
+                    )
+
+            run_load(page, 20, 1, "warmup")
+            report = run_load(
+                page,
+                args.requests,
+                args.concurrency,
+                label=f"GET /results?limit={args.page} [{depth} records]",
             )
-    # Hundreds of clients paging the deepest indexed store at once.
+            sections.append(report)
+            p50s[depth] = report.percentile(50)
+            if report.errors:
+                failures.append(f"@{depth}: {report.errors} errors")
+        finally:
+            service.stop()
+    ratio = p50s[depths[-1]] / max(p50s[depths[0]], 1e-9)
+    flat = ratio <= 1.0 + args.tolerance
+    bench_metrics.append(BenchMetric(
+        "deep_jsonl_p50_ms", 1e3 * p50s[depths[-1]], unit="ms",
+    ))
+    print(
+        f"p50 {1e3 * p50s[depths[0]]:.2f} ms @ {depths[0]} -> "
+        f"{1e3 * p50s[depths[-1]]:.2f} ms @ {depths[-1]} records "
+        f"(x{ratio:.2f}) {'FLAT' if flat else 'NOT FLAT'}"
+    )
+    if not flat:
+        failures.append(
+            f"p50 grew x{ratio:.2f} from {depths[0]} to {depths[-1]} "
+            f"records (tolerance x{1.0 + args.tolerance:.2f})"
+        )
+    # Hundreds of clients paging the deepest store at once.
     service = AttackService(
-        store=deepest_sqlite, queue_path=scratch / "q_clients.jsonl"
+        store=store, queue_path=scratch / "q_clients.jsonl"
     )
     service.start()
     try:
@@ -225,7 +212,7 @@ def deep_history_scenario(
             args.clients,
             label=(
                 f"GET /results?limit={args.page} "
-                f"[sqlite, {depths[-1]} records, {args.clients} clients]"
+                f"[{depths[-1]} records, {args.clients} clients]"
             ),
         )
         sections.append(swarm)

@@ -25,9 +25,6 @@ bench       compare a BENCH_*.json benchmark artifact against a
             committed baseline; non-zero exit on regression
 report      summarise the results store (slowest nodes, cache hits);
             ``--limit`` / ``--offset`` page through deep histories
-migrate-store
-            replay one store's history into another backend/format
-            (JSONL journal <-> indexed SQLite)
 check       run the stdlib-ast invariant checker over the tree; exit
             0 clean / 1 new findings / 2 analyzer error (the CI
             static-analysis gate)
@@ -495,18 +492,6 @@ def cmd_check(args) -> int:
     return run_check(args)
 
 
-def cmd_migrate_store(args) -> int:
-    from repro.experiments import migrate_store
-
-    try:
-        migrated = migrate_store(args.source, args.dest)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print(f"migrated {migrated} records: {args.source} -> {args.dest}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -794,19 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="records to skip before the page starts",
     )
     p_rep.set_defaults(fn=cmd_report)
-
-    p_mig = sub.add_parser(
-        "migrate-store",
-        help="replay one results store's history into another format "
-        "(e.g. experiments.jsonl -> experiments.sqlite)",
-    )
-    p_mig.add_argument(
-        "source", help="store to read (suffix selects the backend)"
-    )
-    p_mig.add_argument(
-        "dest", help="store to write (suffix selects the backend)"
-    )
-    p_mig.set_defaults(fn=cmd_migrate_store)
 
     p_chk = sub.add_parser(
         "check",

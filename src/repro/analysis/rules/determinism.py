@@ -14,7 +14,12 @@ any machine, in any process.  Inside any function that feeds
   ``datetime.utcnow``), ``uuid.*``, ``random.*``, ``os.getpid``,
   ``os.urandom`` — different every run by design;
 * builtin ``id()`` and ``hash()`` — address- and
-  ``PYTHONHASHSEED``-dependent.
+  ``PYTHONHASHSEED``-dependent;
+* builtin ``repr()`` and ``str()`` — their text is not a canonical
+  form: set order follows ``PYTHONHASHSEED``, and library types change
+  their ``repr`` across versions (numpy 2 prints ``np.float64(1.0)``).
+  A key that is a ``repr`` on purpose says so with a justified
+  suppression.
 
 The rule is scoped to hashing functions on purpose: ``time.time()`` in
 a scheduler loop is fine; ``time.time()`` folded into a scenario hash
@@ -40,6 +45,7 @@ _TAINTED_ATTRS = frozenset({
 })
 _TAINTED_MODULES = frozenset({"uuid", "random"})
 _TAINTED_BUILTINS = frozenset({"id", "hash"})
+_TEXT_BUILTINS = frozenset({"repr", "str"})
 
 
 def _uses_hashlib(func: ast.AST) -> bool:
@@ -70,8 +76,8 @@ class HashDeterminismRule(Rule):
     description = (
         "functions that feed hashlib must canonicalise "
         "(json.dumps(..., sort_keys=True)) and avoid time/uuid/random/"
-        "pid/id()/hash() — nondeterministic digests poison every cache "
-        "and dedupe keyed on them"
+        "pid/id()/hash()/repr()/str() — nondeterministic digests poison "
+        "every cache and dedupe keyed on them"
     )
 
     def check(self, module: ModuleSource) -> list:
@@ -107,6 +113,11 @@ class HashDeterminismRule(Rule):
             if func.id in _TAINTED_BUILTINS:
                 return (
                     f"builtin {func.id}() is interpreter-/seed-dependent"
+                )
+            if func.id in _TEXT_BUILTINS:
+                return (
+                    f"builtin {func.id}() is not a canonical form (set "
+                    "order, library reprs)"
                 )
             return None
         if not isinstance(func, ast.Attribute):

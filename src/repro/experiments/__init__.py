@@ -44,12 +44,7 @@ from .reports import (
     table3_report,
 )
 from .spec import ATTACK_KINDS, DEFENSE_KINDS, DefenseSpec, ScenarioSpec
-from .storage import (
-    STORE_BACKEND_ENV,
-    StorageBackend,
-    migrate_store,
-    open_backend,
-)
+from .storage import StorageBackend
 from .store import ResultsStore, ScenarioRecord, record_matches, results_dir
 
 __all__ = [
@@ -60,7 +55,6 @@ __all__ = [
     "PlanNode",
     "ResultsStore",
     "ScenarioGrid",
-    "STORE_BACKEND_ENV",
     "ScenarioRecord",
     "ScenarioSpec",
     "StorageBackend",
@@ -73,8 +67,6 @@ __all__ = [
     "figure5_report",
     "get_grid",
     "list_grids",
-    "migrate_store",
-    "open_backend",
     "plan_sweep",
     "record_matches",
     "register",

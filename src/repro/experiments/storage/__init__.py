@@ -1,121 +1,17 @@
-"""Pluggable storage backends for the results store.
+"""Storage backend for the results store.
 
 :class:`~repro.experiments.store.ResultsStore` delegates persistence to
-a :class:`StorageBackend`; this package holds the protocol, the two
-shipped implementations and the selection/migration machinery:
-
-* selection — :func:`open_backend` resolves, in priority order: an
-  explicit backend instance or kind, the path's suffix (``.jsonl`` vs
-  ``.sqlite``/``.sqlite3``/``.db``), then the ``REPRO_STORE_BACKEND``
-  environment variable, defaulting to ``jsonl``.  Suffix beats
-  environment so a test pointing at ``exp.jsonl`` is never silently
-  redirected into SQLite by ambient configuration;
-* migration — :func:`migrate_store` replays one backend's full history
-  into another (JSONL -> SQLite backfill, or SQLite -> JSONL export),
-  preserving append order so latest-wins and first-seen ordering carry
-  over exactly (``repro migrate-store`` is the CLI form).
+a :class:`StorageBackend`; the append-only JSONL journal
+(:class:`JsonlStorageBackend`) is the one implementation.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
-from ..records import results_dir
 from .base import ORDERS, StorageBackend
 from .jsonl import JsonlStorageBackend
-from .sqlite import SqliteStorageBackend
-
-STORE_BACKEND_ENV = "REPRO_STORE_BACKEND"
-
-BACKENDS: dict[str, type[StorageBackend]] = {
-    JsonlStorageBackend.kind: JsonlStorageBackend,
-    SqliteStorageBackend.kind: SqliteStorageBackend,
-}
-
-DEFAULT_FILENAMES = {
-    "jsonl": "experiments.jsonl",
-    "sqlite": "experiments.sqlite",
-}
-
-_SUFFIX_KINDS = {
-    ".jsonl": "jsonl",
-    ".sqlite": "sqlite",
-    ".sqlite3": "sqlite",
-    ".db": "sqlite",
-}
-
-
-def backend_kind_for_path(path: str | Path) -> str | None:
-    """Backend kind implied by a path's suffix, or None."""
-    return _SUFFIX_KINDS.get(Path(path).suffix.lower())
-
-
-def open_backend(
-    path: str | Path | None = None,
-    backend: str | StorageBackend | None = None,
-) -> StorageBackend:
-    """Resolve and construct the storage backend for a store.
-
-    ``backend`` may be a ready instance (returned as-is), a kind name,
-    or None — in which case the path suffix and then
-    ``REPRO_STORE_BACKEND`` decide, defaulting to ``jsonl``.  With no
-    path, the backend's default file under ``results_dir()`` is used.
-    """
-    if isinstance(backend, StorageBackend):
-        return backend
-    kind = backend
-    if kind is None and path is not None:
-        kind = backend_kind_for_path(path)
-    if kind is None:
-        kind = os.environ.get(STORE_BACKEND_ENV, "").strip() or "jsonl"
-    if kind not in BACKENDS:
-        raise ValueError(
-            f"unknown storage backend {kind!r}; known: {sorted(BACKENDS)}"
-        )
-    if path is None:
-        path = results_dir() / DEFAULT_FILENAMES[kind]
-    return BACKENDS[kind](path)
-
-
-def migrate_store(
-    source: str | Path | StorageBackend,
-    dest: str | Path | StorageBackend,
-    backend: str | None = None,
-    dest_backend: str | None = None,
-    batch: int = 1000,
-) -> int:
-    """Replay ``source``'s full history into ``dest``; returns the
-    number of records migrated.
-
-    History replays in append order, so the destination converges on
-    the same latest-wins view *and* the same first-seen scenario order
-    as the source.  Appends go in batches (one transaction each on
-    SQLite).  Paths resolve through :func:`open_backend` — the common
-    call is ``migrate_store("results/experiments.jsonl",
-    "results/experiments.sqlite")``.
-    """
-    src = source if isinstance(source, StorageBackend) \
-        else open_backend(source, backend)
-    out = dest if isinstance(dest, StorageBackend) \
-        else open_backend(dest, dest_backend)
-    if src.path == out.path:
-        raise ValueError("source and destination are the same store")
-    history = src.history()
-    for start in range(0, len(history), max(1, int(batch))):
-        out.append_many(history[start:start + batch])
-    return len(history)
-
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_FILENAMES",
     "JsonlStorageBackend",
     "ORDERS",
-    "STORE_BACKEND_ENV",
-    "SqliteStorageBackend",
     "StorageBackend",
-    "backend_kind_for_path",
-    "migrate_store",
-    "open_backend",
 ]

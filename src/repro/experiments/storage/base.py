@@ -2,24 +2,19 @@
 
 A storage backend persists :class:`~repro.experiments.records.ScenarioRecord`
 rows with *latest-wins* semantics: appends accumulate history, and the
-most recent record per scenario hash is the one queries serve.  Two
-implementations ship:
-
-* :class:`~repro.experiments.storage.jsonl.JsonlStorageBackend` — the
-  append-only JSONL journal (the durable export format, and the
-  coordination-free choice for concurrent appenders);
-* :class:`~repro.experiments.storage.sqlite.SqliteStorageBackend` — an
-  indexed SQLite database whose query cost stays flat as history grows
-  (the service read path at scale).
+most recent record per scenario hash is the one queries serve.  The
+implementation is
+:class:`~repro.experiments.storage.jsonl.JsonlStorageBackend`, the
+append-only JSONL journal; the protocol is the seam a different store
+would plug into.
 
 All query methods speak the one filter vocabulary of
 :func:`~repro.experiments.records.record_matches` (``design``,
 ``split_layer``, ``attack``, ``defense_kind``, ``tag``, ``status``),
 so the store facade, the HTTP ``/results`` endpoint and the API client
-can push filters and pagination down without caring which backend is
+can push filters and pagination down without caring what is
 underneath.  The conformance suite
-(``tests/experiments/test_storage_backends.py``) runs every backend
-through the same assertions.
+(``tests/experiments/test_storage_backends.py``) pins those semantics.
 """
 
 from __future__ import annotations
@@ -75,12 +70,8 @@ def check_order(order: str) -> str:
 class StorageBackend:
     """Persistence strategy for scenario records (latest-wins)."""
 
-    #: registry key (``REPRO_STORE_BACKEND`` value), e.g. ``"jsonl"``.
+    #: the ``backend`` label of ``repro_storage_op_seconds``.
     kind = "backend"
-    #: True when the format is an append-only text journal that must
-    #: tolerate torn trailing lines (the conformance suite keys its
-    #: torn-line tests off this).
-    journal_format = False
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -124,8 +115,7 @@ class StorageBackend:
 
     def reload_tail(self) -> int:
         """Fold in records other writers appended since the last read;
-        returns how many were picked up.  Backends that always read the
-        live data (SQLite) return 0."""
+        returns how many were picked up."""
         raise NotImplementedError
 
     # -- lifecycle -----------------------------------------------------

@@ -1,11 +1,9 @@
 """Append-only JSONL storage backend with tail-aware reloads.
 
-The original (and still default) persistence format: one JSON line per
-record, appended with single ``O_APPEND`` writes (see
+The results store's persistence format: one JSON line per record,
+appended with single ``O_APPEND`` writes (see
 :func:`repro.core.atomic.atomic_append_line`) so concurrent appenders
-interleave whole lines, never bytes.  The file doubles as the durable
-export/journal format — ``repro migrate-store`` replays it into any
-other backend.
+interleave whole lines, never bytes.
 
 Reloads are *incremental*, borrowed from the job queue's journal
 tailing (:mod:`repro.service.queue`): the backend tracks the byte
@@ -35,14 +33,34 @@ from ..records import ScenarioRecord, record_matches
 from .base import StorageBackend, check_order, timed_op
 
 
+#: First bytes of every SQLite database file.
+SQLITE_HEADER = b"SQLite format 3\x00"
+
+
+def _refuse_sqlite_file(path) -> None:
+    """Raise if ``path`` is an existing SQLite database: folding it
+    would read 0 records, and the next append would write JSON into
+    the binary file."""
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(len(SQLITE_HEADER))
+    except FileNotFoundError:
+        return
+    if head == SQLITE_HEADER:
+        raise ValueError(
+            f"{path} is a SQLite results store; SQLite stores are no "
+            "longer supported (the results store is a JSONL journal)"
+        )
+
+
 class JsonlStorageBackend(StorageBackend):
     """Latest-wins view folded from an append-only JSONL journal."""
 
     kind = "jsonl"
-    journal_format = True
 
     def __init__(self, path):
         super().__init__(path)
+        _refuse_sqlite_file(self.path)
         self._history: list[ScenarioRecord] = []
         self._latest: dict[str, ScenarioRecord] = {}
         self._offset = 0  # journal bytes folded so far

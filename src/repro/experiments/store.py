@@ -1,4 +1,4 @@
-"""Queryable, latest-wins results store over pluggable storage backends.
+"""Queryable, latest-wins results store over a JSONL journal.
 
 Every evaluated scenario lands here as one record keyed by its content
 hash, so completed work is never recomputed: the sweep engine consults
@@ -8,28 +8,18 @@ re-running attacks.  Re-evaluations append a new record and the
 *latest* record per scenario hash wins.
 
 Persistence is delegated to a
-:class:`~repro.experiments.storage.StorageBackend`:
-
-* ``jsonl`` (default) — the append-only JSONL journal
-  (``results/experiments.jsonl``), concurrent-writer safe via single
-  ``O_APPEND`` writes and reloadable incrementally (tail-aware: a
-  cross-process refresh costs one ``stat`` plus the new tail, not a
-  re-parse of the whole history);
-* ``sqlite`` — an indexed SQLite database (WAL mode) whose query cost
-  stays flat as history grows; the service read path at scale.
-
-Select a backend with ``ResultsStore(backend=...)``, a path suffix
-(``.sqlite`` / ``.db`` vs ``.jsonl``), or the ``REPRO_STORE_BACKEND``
-environment variable; migrate history between formats with
-:func:`repro.experiments.storage.migrate_store` (CLI:
-``repro migrate-store``).  The default location is
+:class:`~repro.experiments.storage.StorageBackend`, the append-only
+JSONL journal (``results/experiments.jsonl``): concurrent-writer safe
+via single ``O_APPEND`` writes and reloadable incrementally
+(tail-aware: a cross-process refresh costs one ``stat`` plus the new
+tail, not a re-parse of the whole history).  The default location is
 ``results/``; relocate it with the ``REPRO_RESULTS_DIR`` environment
 variable.
 
 Queries take the shared filter vocabulary of :func:`record_matches`
-plus ``limit``/``offset``/``order`` pagination, which both backends
-push down (SQL on SQLite); ``count`` reports the total a paginated
-page was cut from.  ``to_csv`` snapshots the latest records through
+plus ``limit``/``offset``/``order`` pagination, which the backend
+streams without materialising the whole view; ``count`` reports the
+total a paginated page was cut from.  ``to_csv`` snapshots the latest records through
 the atomic temp-file + ``os.replace`` helpers.
 """
 
@@ -45,7 +35,7 @@ from .records import (
     results_dir,
 )
 from .spec import ScenarioSpec
-from .storage import StorageBackend, open_backend
+from .storage import JsonlStorageBackend
 
 __all__ = [
     "DEFAULT_FILENAME",
@@ -62,19 +52,15 @@ DEFAULT_FILENAME = "experiments.jsonl"
 class ResultsStore:
     """Latest-wins record store with a small query API.
 
-    ``path`` and ``backend`` both default sensibly: no arguments means
-    the JSONL journal at ``results/experiments.jsonl`` (or whatever
-    ``REPRO_STORE_BACKEND`` / ``REPRO_RESULTS_DIR`` say); ``backend``
-    accepts a kind name (``"jsonl"`` / ``"sqlite"``) or a constructed
-    :class:`~repro.experiments.storage.StorageBackend`.
+    No ``path`` means the JSONL journal at
+    ``results/experiments.jsonl`` (under ``REPRO_RESULTS_DIR`` when
+    set).
     """
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        backend: str | StorageBackend | None = None,
-    ):
-        self.backend = open_backend(path, backend)
+    def __init__(self, path: str | Path | None = None):
+        if path is None:
+            path = results_dir() / DEFAULT_FILENAME
+        self.backend = JsonlStorageBackend(path)
 
     @property
     def path(self) -> Path:
@@ -84,10 +70,9 @@ class ResultsStore:
     def reload(self) -> int:
         """Fold in other writers' appends since the last read.
 
-        Incremental: the JSONL backend tails the journal from its last
-        byte offset (one ``stat`` when nothing changed) and the SQLite
-        backend reads live data anyway — so cross-process refresh cost
-        no longer scales with history length.  Returns the number of
+        Incremental: the backend tails the journal from its last byte
+        offset (one ``stat`` when nothing changed), so cross-process
+        refresh cost does not scale with history length.  Returns the number of
         newly observed records.
         """
         return self.backend.reload_tail()
@@ -161,8 +146,8 @@ class ResultsStore:
     ) -> list[ScenarioRecord]:
         """Latest records matching every given filter, paginated.
 
-        Filters and pagination push down into the storage backend
-        (indexed SQL on SQLite).  ``predicate`` cannot be pushed down;
+        Filters and pagination push down into the storage backend.
+        ``predicate`` cannot be pushed down;
         when given, pagination applies after it, in Python.
         """
         filters = self._filters(

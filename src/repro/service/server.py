@@ -39,8 +39,7 @@ framework, no new dependencies.  Endpoints:
     running anything.  ``limit`` / ``offset`` / ``order=asc|desc``
     paginate; the response carries ``records`` plus the ``total``
     match count, and the filters/pagination push down into the storage
-    backend (indexed SQL on the SQLite backend) instead of
-    materialising the full history per request.
+    backend instead of materialising the full history per request.
 
 ``GET /healthz``
     Liveness + queue/scheduler counters, including one entry per

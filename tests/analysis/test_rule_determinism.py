@@ -54,10 +54,34 @@ def test_nondeterministic_sources_flagged(determinism, call):
 
         def fingerprint(payload):
             salt = {call}
-            return hashlib.sha256(str((payload, salt)).encode()).hexdigest()
+            return hashlib.sha256(bytes([payload, salt])).hexdigest()
         """
     )
     assert len(report.new) == 1, call
+
+
+@pytest.mark.parametrize("builtin", ["repr", "str"])
+def test_text_builtin_fed_to_hashlib_flagged(determinism, builtin):
+    report = determinism(
+        f"""\
+        import hashlib
+
+        def fingerprint(payload):
+            return hashlib.sha256({builtin}(payload).encode()).hexdigest()
+        """
+    )
+    assert len(report.new) == 1
+    assert f"builtin {builtin}()" in report.new[0].message
+
+
+def test_text_builtin_outside_hash_function_clean(determinism):
+    report = determinism(
+        """\
+        def label(payload):
+            return repr(payload) + str(len(payload))
+        """
+    )
+    assert report.new == []
 
 
 def test_scoped_to_hashing_functions(determinism):

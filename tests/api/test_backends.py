@@ -65,17 +65,12 @@ def result_hash(result) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def run_backend(
-    backend: str,
-    results_dir: Path,
-    monkeypatch,
-    store_name: str = "experiments.jsonl",
-):
+def run_backend(backend: str, results_dir: Path, monkeypatch):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(results_dir))
     events = []
     with Client(
         backend=backend,
-        store=results_dir / store_name,
+        store=results_dir / "experiments.jsonl",
         queue_path=results_dir / "queue.jsonl",
         on_event=events.append,
     ) as client:
@@ -118,34 +113,6 @@ def test_backend_parity_on_golden_sweep(warm_cache, monkeypatch):
     # The service job id travelled onto the result set.
     assert results["service"].job_id is not None
     assert results["inline"].job_id is None
-
-
-def test_sqlite_store_parity_on_golden_sweep(warm_cache, monkeypatch):
-    """The cross-storage-backend acceptance bar: the golden sweep run
-    into a SQLite-backed store hashes identically to the JSONL run —
-    records are bit-for-bit the same regardless of persistence format,
-    all the way through the live service."""
-    inline_jsonl, _ = run_backend(
-        "inline", warm_cache / "jsonl", monkeypatch
-    )
-    service_sqlite, events = run_backend(
-        "service", warm_cache / "sqlite", monkeypatch,
-        store_name="experiments.sqlite",
-    )
-    assert result_hash(inline_jsonl) == result_hash(service_sqlite)
-    # The SSE stream fed the unified callback, terminal exactly once.
-    # (node/progress kinds can be absent here: the warm-cache job may
-    # finish before the stream opens; the deterministic every-kind
-    # check lives in tests/service/test_service_events.py.)
-    kinds = [event.kind for event in events]
-    assert kinds[0] == "submitted"
-    assert kinds[-1] == "done" and kinds.count("done") == 1
-    # And the SQLite store is what actually served the records.
-    from repro.experiments import ResultsStore
-
-    store = ResultsStore(warm_cache / "sqlite" / "experiments.sqlite")
-    assert store.backend.kind == "sqlite"
-    assert store.count(tag="golden") == 2
 
 
 def test_service_backend_resubmission_answers_from_store(

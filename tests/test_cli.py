@@ -31,9 +31,6 @@ class TestParser:
             )
             assert callable(args.fn)
         assert callable(parser.parse_args(["sweep", "table3"]).fn)
-        assert callable(
-            parser.parse_args(["migrate-store", "a.jsonl", "b.sqlite"]).fn
-        )
 
 
 class TestCommands:
@@ -126,29 +123,6 @@ class TestCommands:
         assert "records 1-1 of 1" in out
         assert main(["report", "--limit", "5", "--offset", "99"]) == 0
         assert "no records" in capsys.readouterr().out
-
-    def test_migrate_store_round_trip(self, capsys, tmp_path):
-        assert main([
-            "sweep", "attack-matrix",
-            "--param", "designs=tiny_a",
-            "--param", "split_layers=[3]",
-            "--param", 'attacks=["proximity"]',
-        ]) == 0
-        capsys.readouterr()
-        from repro.experiments import ResultsStore, results_dir
-
-        src = results_dir() / "experiments.jsonl"
-        dst = tmp_path / "migrated.sqlite"
-        assert main(["migrate-store", str(src), str(dst)]) == 0
-        assert "migrated 1 records" in capsys.readouterr().out
-        migrated = ResultsStore(dst)
-        assert migrated.backend.kind == "sqlite"
-        assert len(migrated) == 1
-        # a sqlite store is queryable through the same report path
-        assert main(["report", "--store", str(dst)]) == 0
-        assert "1 scenarios" in capsys.readouterr().out
-        # degenerate migration is a clean CLI error, not a traceback
-        assert main(["migrate-store", str(src), str(src)]) == 2
 
     def test_serve_and_submit_round_trip(self, capsys, tmp_path):
         # `serve` blocks, so drive its parts directly and point the
