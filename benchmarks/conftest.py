@@ -7,8 +7,10 @@ cache the experiment scripts use, so a prior
 warm.  Reports regenerated here are written to ``results/``.
 
 The whole tier carries the ``slow`` pytest marker (deselect with
-``-m "not slow"``); the harness entry points it calls honour
-``REPRO_WORKERS`` for multi-process fan-out on multi-core hosts.
+``-m "not slow"``).  Each paper artifact is a registry grid run
+through :func:`paper_report` (``Client.run(grid, params).report()``
+on the local backend), which honours ``REPRO_WORKERS`` for
+multi-process fan-out on multi-core hosts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Client
 from repro.core import AttackConfig
 from repro.core.atomic import atomic_write_text
 from repro.pipeline import get_split, trained_attack
@@ -27,6 +30,13 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 def save_report(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     atomic_write_text(RESULTS_DIR / name, text + "\n")
+
+
+def paper_report(grid: str, **params):
+    """Run a registry grid without recording to the results store and
+    return its report."""
+    with Client(store=False) as client:
+        return client.run(grid, params).report()
 
 
 @pytest.fixture(scope="session")

@@ -17,9 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import build_candidates, candidate_recall
-from repro.eval import render_table, run_candidate_list_comparison
+from repro.eval import render_table
 
-from conftest import save_report
+from conftest import paper_report, save_report
 
 pytestmark = pytest.mark.slow
 
@@ -108,13 +108,14 @@ def test_non_duplication_keeps_one_vpp_per_pair(benchmark, split):
     assert multi_vp >= 0  # informational; some layouts have none
 
 
-def test_candidate_lists_vs_single_pick(benchmark, bench_config):
+def test_candidate_lists_vs_single_pick(benchmark):
     """[9]-style random-forest lists vs the DL attack's single pick."""
     designs = ["c432", "c880", "b11"]
 
     report = benchmark.pedantic(
-        run_candidate_list_comparison,
-        kwargs={"designs": designs, "split_layer": 3, "config": bench_config},
+        paper_report,
+        args=("candidate-lists",),
+        kwargs={"designs": designs, "split_layer": 3, "thresholds": (0.2,)},
         rounds=1,
         iterations=1,
     )

@@ -1,7 +1,7 @@
 """Benchmark: defense ablation (the paper's future-work direction).
 
-Sweeps placement perturbation and net lifting on one design via
-:func:`repro.defense.run_defense_sweep`, measuring how the proximity
+Sweeps placement perturbation and net lifting on one design through
+the ``defense-sweep`` registry grid, measuring how the proximity
 attack degrades and what the defenses cost in wirelength — the
 security/PPA trade-off a defender navigates.  Every sweep point is an
 independent build-and-attack cell, so the sweep honours
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.defense import run_defense_sweep
-
-from conftest import save_report
+from conftest import paper_report, save_report
 
 pytestmark = pytest.mark.slow
 
@@ -27,8 +25,9 @@ LIFT_FRACTIONS = (0.25, 0.5)
 
 @pytest.fixture(scope="module")
 def sweep_report():
-    report = run_defense_sweep(
-        DESIGN,
+    report = paper_report(
+        "defense-sweep",
+        design=DESIGN,
         split_layer=SPLIT_LAYER,
         perturbations=PERTURBATIONS,
         lift_fractions=LIFT_FRACTIONS,
@@ -42,9 +41,10 @@ def test_defense_sweep_runtime(benchmark):
     """Times the build-and-attack sweep itself (single point so the
     benchmark measures the real work, not table rendering)."""
     report = benchmark.pedantic(
-        run_defense_sweep,
-        args=(DESIGN,),
+        paper_report,
+        args=("defense-sweep",),
         kwargs=dict(
+            design=DESIGN,
             split_layer=SPLIT_LAYER,
             perturbations=(PERTURBATIONS[0],),
             lift_fractions=(),

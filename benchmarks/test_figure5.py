@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval import run_figure5, variant_config
+from repro.eval import variant_config
 from repro.pipeline import trained_attack
 
-from conftest import save_report
+from conftest import paper_report, save_report
 
 pytestmark = pytest.mark.slow
 
@@ -26,10 +26,8 @@ FIGURE5_DESIGNS = ["c432", "c880", "c1355", "b11", "b13"]
 
 
 @pytest.fixture(scope="module")
-def figure5_report(bench_config):
-    report = run_figure5(
-        designs=FIGURE5_DESIGNS, split_layer=3, config=bench_config
-    )
+def figure5_report():
+    report = paper_report("figure5", designs=FIGURE5_DESIGNS, split_layer=3)
     save_report("figure5_bench.txt", report.render())
     return report
 
@@ -59,7 +57,7 @@ def test_regenerate_figure5(benchmark, figure5_report):
 def test_variant_inference_time(benchmark, variant, bench_config, split_of):
     """Figure 5(b): inference time per variant on one design."""
     attack = trained_attack(3, variant_config(bench_config, variant))
-    # Cache-free, like run_figure5: a warm feature/embedding cache would
+    # Cache-free, like the figure5 grid: a warm feature/embedding cache would
     # reduce all three variants to npz-load time.
     split = split_of("c880", 3)
     result = benchmark.pedantic(

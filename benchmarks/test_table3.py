@@ -22,10 +22,9 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks import NetworkFlowAttack
-from repro.eval import run_table3
 from repro.split import ccr
 
-from conftest import save_report
+from conftest import paper_report, save_report
 
 pytestmark = pytest.mark.slow
 
@@ -38,12 +37,11 @@ BENCH_FLOW_TIMEOUT_S = 10.0
 
 
 @pytest.fixture(scope="module")
-def table3_report(bench_config):
+def table3_report():
     # The DL cells load the same cached weights the dl_attack_m1/m3
-    # fixtures do (trained_attack on the benchmark config).
-    report = run_table3(
-        config=bench_config, flow_timeout_s=BENCH_FLOW_TIMEOUT_S
-    )
+    # fixtures do (trained_attack on the grid's default, the benchmark
+    # config).
+    report = paper_report("table3", flow_timeout_s=BENCH_FLOW_TIMEOUT_S)
     save_report("table3_bench.txt", report.render())
     return report
 

@@ -22,7 +22,6 @@ Run:  python examples/ablation_study.py [--designs c432 c880 ...]
 import argparse
 
 from repro.api import Client, message_printer
-from repro.core import AttackConfig
 
 DEFAULT_DESIGNS = ["c432", "c880", "c1355", "b11"]
 
@@ -38,15 +37,9 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    with Client(backend="local", workers=args.workers,
-                on_event=message_printer()) as client:
+    with Client(workers=args.workers, on_event=message_printer()) as client:
         result = client.run(
-            "ablation",
-            {
-                "designs": args.designs,
-                "split_layer": args.layer,
-                "config": AttackConfig.benchmark(),
-            },
+            "ablation", {"designs": args.designs, "split_layer": args.layer}
         )
     report = result.report()
     print()

@@ -6,18 +6,18 @@ because it outputs *candidate lists* "with considerable size" rather
 than connections: with hundreds of candidates per broken connection,
 recovering the actual netlist means searching a combinatorial space.
 
-This example trains our from-scratch random-forest attack next to the
-DL attack and prints, per design: the DL attack's committed-choice CCR,
-the forest's top-1 CCR, its list recall, mean list size, and the
-resulting number of full-netlist combinations an attacker would face.
+This example runs the ``candidate-lists`` registry grid: our
+from-scratch random-forest attack next to the DL attack, printing per
+design: the DL attack's committed-choice CCR, the forest's top-1 CCR,
+its list recall, mean list size, and the resulting number of
+full-netlist combinations an attacker would face.
 
 Run:  python examples/candidate_lists_vs_single_pick.py
 """
 
 import argparse
 
-from repro.core import AttackConfig
-from repro.eval import run_candidate_list_comparison
+from repro.api import Client, message_printer
 
 DEFAULT_DESIGNS = ["c432", "c880", "c1355", "b11"]
 
@@ -29,13 +29,12 @@ def main() -> None:
                         help="forest probability threshold for list membership")
     args = parser.parse_args()
 
-    report = run_candidate_list_comparison(
-        designs=args.designs,
-        split_layer=3,
-        config=AttackConfig.benchmark(),
-        list_threshold=args.threshold,
-    )
-    print(report.render())
+    with Client(on_event=message_printer()) as client:
+        result = client.run(
+            "candidate-lists",
+            {"designs": args.designs, "thresholds": (args.threshold,)},
+        )
+    print(result.report().render())
     print(
         "\nReading: '#combinations' is the product of list sizes — the "
         "search space left after the list attack; the DL attack leaves 1."

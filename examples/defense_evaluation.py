@@ -11,7 +11,8 @@ as future work; this example quantifies both on one design:
 
 For each defense strength the proximity and network-flow attacks run on
 the defended layout, along with the security/PPA trade-off.  The sweep
-runs through :class:`repro.api.Client` (local backend): every sweep
+is the ``defense-sweep`` registry grid, run through
+:class:`repro.api.Client` (local backend): every sweep
 point builds and attacks its own layout, so it fans out over worker
 processes with ``--workers`` (or ``REPRO_WORKERS``), and each cell is
 recorded in the results store for resumption.
@@ -34,9 +35,11 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    with Client(backend="local", workers=args.workers,
-                on_event=message_printer()) as client:
-        result = client.defense_sweep(args.design, split_layer=args.layer)
+    with Client(workers=args.workers, on_event=message_printer()) as client:
+        result = client.run(
+            "defense-sweep",
+            {"design": args.design, "split_layer": args.layer},
+        )
     print(result.report().render())
     print(
         "\nReading: lower CCR = better security; "

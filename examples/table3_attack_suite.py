@@ -11,7 +11,8 @@ Run:
     python examples/table3_attack_suite.py --layers 1 3    # both split layers
     python examples/table3_attack_suite.py --full          # all 16 designs
 
-The suite runs through :class:`repro.api.Client` (local backend):
+The suite is the ``table3`` registry grid, run through
+:class:`repro.api.Client` (local backend):
 everything expensive (layouts, trained models) lands in .repro_cache,
 every cell is recorded in the results store, and repeat runs resume
 from both.
@@ -20,7 +21,6 @@ from both.
 import argparse
 
 from repro.api import Client, message_printer
-from repro.core import AttackConfig
 from repro.netlist import TABLE3_SPECS
 
 SUBSET = ["c432", "c880", "c1355", "b11", "b13", "c2670"]
@@ -33,8 +33,9 @@ def main() -> None:
     parser.add_argument("--layers", type=int, nargs="+", default=[3],
                         choices=[1, 2, 3, 4, 5],
                         help="split layers to attack (default: 3)")
-    parser.add_argument("--flow-timeout", type=float, default=120.0,
-                        help="flow-attack budget per design, seconds")
+    parser.add_argument("--flow-timeout", type=float, default=None,
+                        help="flow-attack budget per design, seconds "
+                        "(default: the table3 grid's)")
     parser.add_argument(
         "--workers", type=int, default=None,
         help="worker processes (default: $REPRO_WORKERS or serial; "
@@ -43,14 +44,11 @@ def main() -> None:
     args = parser.parse_args()
 
     designs = [s.name for s in TABLE3_SPECS] if args.full else SUBSET
-    with Client(backend="local", workers=args.workers,
-                on_event=message_printer()) as client:
-        result = client.table3(
-            designs=designs,
-            split_layers=tuple(args.layers),
-            config=AttackConfig.benchmark(),
-            flow_timeout_s=args.flow_timeout,
-        )
+    params = {"designs": designs, "split_layers": tuple(args.layers)}
+    if args.flow_timeout is not None:
+        params["flow_timeout_s"] = args.flow_timeout
+    with Client(workers=args.workers, on_event=message_printer()) as client:
+        result = client.run("table3", params)
     report = result.report()
     print()
     print(report.render())

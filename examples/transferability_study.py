@@ -42,8 +42,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    with Client(backend="local", workers=args.workers,
-                on_event=message_printer()) as client:
+    with Client(workers=args.workers, on_event=message_printer()) as client:
         result = client.run(
             "transferability", {"split_layer": args.layer}
         )

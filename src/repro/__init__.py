@@ -16,12 +16,13 @@ The package is organised bottom-up:
   vector/image features, SplitNet and the DL attack;
 * :mod:`repro.defense` — placement/routing defenses (future work);
 * :mod:`repro.pipeline` — cached end-to-end flow orchestration;
-* :mod:`repro.eval` — harnesses regenerating Table 3 and Figure 5;
+* :mod:`repro.eval` — report types for Table 3, Figure 5 and the
+  candidate-list comparison;
 * :mod:`repro.experiments` — scenario specs, grids, sweep engine,
   results store;
 * :mod:`repro.service` — attack-as-a-service (queue/scheduler/HTTP);
 * :mod:`repro.api` — the public SDK: one ``Client`` over pluggable
-  inline / local / service execution backends.
+  local / service execution backends.
 
 SDK quickstart::
 

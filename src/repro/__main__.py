@@ -34,10 +34,12 @@ Every execution command is a thin argument parser over
 ``defense`` and ``sweep`` drive the local backend (``--workers N`` /
 ``REPRO_WORKERS`` fans the DAG out over worker processes coordinated
 by the ``.repro_cache`` disk cache), ``submit`` drives the service
-backend against ``--url``.  Results append to the queryable store
-(``results/experiments.jsonl`` by default; relocate with
-``REPRO_RESULTS_DIR`` or ``--store``), and scenarios already in the
-store are resumed, not recomputed — pass ``--fresh`` to force
+backend against ``--url``.  ``table3``, ``figure5`` and ``defense``
+run their registry grid (``client.run(grid, params).report()``); an
+option left unset takes the grid's default.  Results append to the
+queryable store (``results/experiments.jsonl`` by default; relocate
+with ``REPRO_RESULTS_DIR`` or ``--store``), and scenarios already in
+the store are resumed, not recomputed — pass ``--fresh`` to force
 re-evaluation, or ``--no-store`` (``table3``/``figure5``/``defense``)
 to skip recording entirely.
 """
@@ -145,45 +147,38 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def cmd_table3(args) -> int:
-    from repro.core import AttackConfig
-
+def _run_report(args, grid: str, **params) -> int:
+    """Run a paper grid and print its report.  Only the options the
+    user gave become grid params; the grid holds every default."""
+    params = {k: v for k, v in params.items() if v is not None}
     with _open_client(args) as client:
-        result = client.table3(
-            designs=args.designs or None,
-            split_layers=tuple(args.layers),
-            config=AttackConfig.benchmark(),
-            flow_timeout_s=args.flow_timeout,
-            resume=not args.fresh,
-        )
+        result = client.run(grid, params, resume=not args.fresh)
     print(result.report().render())
     return 0
+
+
+def cmd_table3(args) -> int:
+    return _run_report(
+        args,
+        "table3",
+        designs=args.designs or None,
+        split_layers=args.layers and tuple(args.layers),
+        flow_timeout_s=args.flow_timeout,
+    )
 
 
 def cmd_figure5(args) -> int:
-    from repro.core import AttackConfig
-
-    with _open_client(args) as client:
-        result = client.figure5(
-            designs=args.designs,
-            split_layer=3,
-            config=AttackConfig.benchmark(),
-            resume=not args.fresh,
-        )
-    print(result.report().render())
-    return 0
+    return _run_report(args, "figure5", designs=args.designs)
 
 
 def cmd_defense(args) -> int:
-    with _open_client(args) as client:
-        result = client.defense_sweep(
-            args.design,
-            split_layer=args.layer,
-            with_flow=not args.no_flow,
-            resume=not args.fresh,
-        )
-    print(result.report().render())
-    return 0
+    return _run_report(
+        args,
+        "defense-sweep",
+        design=args.design,
+        split_layer=args.layer,
+        with_flow=False if args.no_flow else None,
+    )
 
 
 def _parse_grid_params(pairs) -> dict:
@@ -512,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     workers_help = (
         "worker processes (default: $REPRO_WORKERS or serial; 0 = all cores)"
     )
+    grid_default = "default: the grid's (list them with `repro scenarios`)"
     store_help = (
         "results store JSONL (default: $REPRO_RESULTS_DIR or "
         "results/experiments.jsonl)"
@@ -536,9 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.set_defaults(fn=cmd_attack)
 
     p_t3 = sub.add_parser("table3", help="regenerate Table 3")
-    p_t3.add_argument("--designs", nargs="*", default=None)
-    p_t3.add_argument("--layers", type=int, nargs="+", default=[1, 3])
-    p_t3.add_argument("--flow-timeout", type=float, default=120.0)
+    p_t3.add_argument(
+        "--designs", nargs="*", default=None, help=grid_default
+    )
+    p_t3.add_argument(
+        "--layers", type=int, nargs="+", default=None, help=grid_default
+    )
+    p_t3.add_argument(
+        "--flow-timeout", type=float, default=None,
+        help=f"flow-attack budget per cell, seconds; {grid_default}",
+    )
     p_t3.add_argument("--workers", type=int, default=None, help=workers_help)
     p_t3.add_argument("--store", default=None, help=store_help)
     p_t3.add_argument(
@@ -553,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_f5 = sub.add_parser("figure5", help="regenerate Figure 5")
     p_f5.add_argument(
-        "--designs", nargs="+", default=["c432", "c880", "c1355", "b11"]
+        "--designs", nargs="+", default=None, help=grid_default
     )
     p_f5.add_argument("--workers", type=int, default=None, help=workers_help)
     p_f5.add_argument("--store", default=None, help=store_help)
@@ -569,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_def = sub.add_parser("defense", help="defense sweep on one design")
     p_def.add_argument("design")
-    p_def.add_argument("--layer", type=int, default=3)
+    p_def.add_argument(
+        "--layer", type=int, default=None, help=grid_default
+    )
     p_def.add_argument(
         "--no-flow", action="store_true",
         help="skip the (slow) network-flow attack",

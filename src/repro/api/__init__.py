@@ -1,18 +1,20 @@
 """repro.api — the public SDK: one Client, pluggable execution backends.
 
-Every way to run the attacks — the harness functions, the CLI, the
+Every way to run the attacks — the CLI, the scripts, the examples, the
 HTTP service — goes through the DAG sweep engine, and this package is
 the single stable surface over it:
 
 * :class:`Client` — accepts :class:`~repro.experiments.ScenarioSpec`
-  objects, spec dicts, or registry grid names, plus high-level helpers
-  (``client.table3()``, ``client.figure5()``,
-  ``client.defense_sweep()``, ``client.attack(design, ...)``);
+  objects, spec dicts, or registry grid names.  Each paper artifact is
+  one grid, run as ``client.run(grid, params).report()``
+  (``"table3"``, ``"figure5"``, ``"defense-sweep"``,
+  ``"candidate-lists"``); ``client.attack(design, ...)`` runs single
+  attacks on one design;
 * :class:`~repro.api.backends.Backend` — the execution protocol, with
-  :class:`InlineBackend` (single-process, deterministic),
-  :class:`LocalBackend` (multi-process sweep engine) and
-  :class:`ServiceBackend` (HTTP attack service, auto-spawned when no
-  URL is given) behind an unchanged caller surface;
+  :class:`LocalBackend` (the sweep engine in this process; serial by
+  default, multi-process with ``workers``) and :class:`ServiceBackend`
+  (HTTP attack service, auto-spawned when no URL is given) behind an
+  unchanged caller surface;
 * :class:`Job` -> :class:`ResultSet` — uniform handles and results
   (built on :class:`~repro.experiments.ScenarioRecord`, with lazy
   report accessors reusing :mod:`repro.experiments.reports`, and
@@ -31,7 +33,6 @@ from .backends import (
     Backend,
     BackendError,
     BackendOutcome,
-    InlineBackend,
     JobCancelled,
     LocalBackend,
     ServiceBackend,
@@ -45,12 +46,7 @@ from .client import (
     ResultSet,
     ResultSetDiff,
 )
-from .events import (
-    EVENT_KINDS,
-    ProgressEvent,
-    message_printer,
-    progress_adapter,
-)
+from .events import EVENT_KINDS, ProgressEvent, message_printer
 
 __all__ = [
     "BACKENDS",
@@ -61,7 +57,6 @@ __all__ = [
     "DIFF_FIELDS",
     "EVENT_KINDS",
     "EmptySubmission",
-    "InlineBackend",
     "Job",
     "JobCancelled",
     "LocalBackend",
@@ -71,5 +66,4 @@ __all__ = [
     "ResultSetDiff",
     "ServiceBackend",
     "message_printer",
-    "progress_adapter",
 ]

@@ -1,17 +1,16 @@
 """Pluggable execution backends behind :class:`repro.api.Client`.
 
 A backend turns a list of :class:`~repro.experiments.spec.ScenarioSpec`
-into :class:`~repro.experiments.store.ScenarioRecord` rows.  All three
+into :class:`~repro.experiments.store.ScenarioRecord` rows.  Both
 implementations speak the same tiny interface (``start`` / ``run`` /
 ``cancel`` / ``close``) and report through the same
 :mod:`repro.api.events` vocabulary, so callers choose an execution
 strategy without changing a line of calling code:
 
-* :class:`InlineBackend` — single-process, serial, deterministic; the
-  right default for tests and small runs;
-* :class:`LocalBackend` — the DAG sweep engine with a reusable
-  multi-process :class:`~repro.pipeline.parallel.Executor`
-  (``workers`` knob / ``REPRO_WORKERS``);
+* :class:`LocalBackend` — the DAG sweep engine in this process, through
+  one reusable :class:`~repro.pipeline.parallel.Executor`: serial and
+  deterministic by default, multi-process with ``workers`` /
+  ``REPRO_WORKERS``;
 * :class:`ServiceBackend` — submits to an
   :class:`~repro.service.server.AttackService` over HTTP, auto-spawning
   an in-process service when no URL is given; jobs are persistent,
@@ -32,7 +31,7 @@ from ..experiments.engine import run_sweep
 from ..experiments.store import ResultsStore, ScenarioRecord
 from ..obs import trace as obs_trace
 from ..obs.logging import log_event
-from ..pipeline.parallel import Executor, resolve_workers
+from ..pipeline.parallel import Executor, sweep_executor
 from .events import engine_hooks
 
 #: Job lifecycle states, mirroring the service queue's vocabulary.
@@ -81,8 +80,8 @@ class Backend:
 
         ``timeout`` bounds the service backend's wait on the job's
         event stream (the job keeps running server-side after a
-        :class:`TimeoutError`); the in-process backends execute the
-        sweep in this call and are not preemptible, so they ignore it.
+        :class:`TimeoutError`); the local backend executes the sweep in
+        this call and is not preemptible, so it ignores it.
         """
         raise NotImplementedError
 
@@ -105,18 +104,37 @@ class Backend:
         self.close()
 
 
-class _EngineBackend(Backend):
-    """Shared sweep-engine execution for the in-process backends."""
+class LocalBackend(Backend):
+    """In-process execution through the DAG sweep engine.
 
-    def __init__(self, store: ResultsStore | None = None):
+    One executor is created lazily from ``workers`` (or
+    ``REPRO_WORKERS``; ``0`` = all cores) and reused across every job
+    this backend runs, exactly like the attack service's scheduler
+    reuses its pool.  With one worker (the default) no process pool is
+    ever started: the plan runs level by level in the calling process,
+    bit-identical run to run.
+    """
+
+    name = "local"
+
+    def __init__(
+        self, store: ResultsStore | None = None, workers: int | None = None
+    ):
         self.store = store
+        self.workers = workers
+        self._executor: Executor | None = None
 
-    def _sweep_kwargs(self, job) -> dict:
-        return {}
+    def _get_executor(self) -> Executor:
+        if self.closed:
+            raise BackendError("backend has been closed")
+        if self._executor is None:
+            self._executor = sweep_executor(self.workers)
+        return self._executor
 
     def run(self, job, timeout: float | None = None) -> BackendOutcome:
         if job.status == "cancelled":
             raise JobCancelled(f"job {job.job_id or ''} was cancelled")
+        executor = self._get_executor()
         job.status = "running"
         progress, on_node = engine_hooks(job._emit)
         if cache_root() is None and any(
@@ -140,7 +158,7 @@ class _EngineBackend(Backend):
                     resume=job.resume,
                     progress=progress,
                     on_node=on_node,
-                    **self._sweep_kwargs(job),
+                    executor=executor,
                 )
         except Exception as err:
             job.status = "failed"
@@ -161,51 +179,6 @@ class _EngineBackend(Backend):
             train_seconds=dict(result.train_seconds),
             trace_id=root.trace_id,
         )
-
-
-class InlineBackend(_EngineBackend):
-    """Single-process, serial, deterministic execution.
-
-    Runs the DAG plan level by level in the calling process (worker
-    count pinned to 1), so behaviour is bit-identical run to run and
-    no disk-cache coordination is required.
-    """
-
-    name = "inline"
-
-    def _sweep_kwargs(self, job) -> dict:
-        return {"workers": 1}
-
-
-class LocalBackend(_EngineBackend):
-    """Multi-process execution through one long-lived executor.
-
-    The pool is created lazily from ``workers`` (or ``REPRO_WORKERS``;
-    ``0`` = all cores) and reused across every job this backend runs,
-    exactly like the attack service's scheduler reuses its pool.
-    """
-
-    name = "local"
-
-    def __init__(
-        self, store: ResultsStore | None = None, workers: int | None = None
-    ):
-        super().__init__(store=store)
-        self.workers = workers
-        self._executor: Executor | None = None
-
-    def _get_executor(self) -> Executor:
-        if self.closed:
-            raise BackendError("backend has been closed")
-        if self._executor is None:
-            n_workers = resolve_workers(self.workers)
-            if n_workers > 1 and cache_root() is None:
-                n_workers = 1  # no coordination medium: serial
-            self._executor = Executor(n_workers)
-        return self._executor
-
-    def _sweep_kwargs(self, job) -> dict:
-        return {"executor": self._get_executor()}
 
     def close(self) -> None:
         super().close()
@@ -278,7 +251,7 @@ class ServiceBackend(Backend):
         if not job.resume:
             raise BackendError(
                 "the service backend always resumes from the service's "
-                "results store; use the inline/local backend for "
+                "results store; use the local backend for "
                 "resume=False (--fresh) runs"
             )
         client = self._get_client()
@@ -413,7 +386,6 @@ class ServiceBackend(Backend):
 
 
 BACKENDS = {
-    InlineBackend.name: InlineBackend,
     LocalBackend.name: LocalBackend,
     ServiceBackend.name: ServiceBackend,
 }

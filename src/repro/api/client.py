@@ -1,17 +1,19 @@
 """The one front door: ``Client`` + ``Job`` + ``ResultSet``.
 
-Every way of running the reproduction's attacks — the harness helpers,
-the DAG sweep engine, the HTTP attack service — is reachable through
-one object::
+Every way of running the reproduction's attacks — the DAG sweep
+engine in this process, the HTTP attack service — is reachable through
+one object, and every paper artifact is a registry grid run through
+``client.run(grid, params).report()``::
 
     from repro.api import Client
 
-    with Client() as client:                     # inline backend
+    with Client() as client:                     # local backend, serial
         result = client.attack("c432", attacks=("proximity",))
         print(result.render())
 
-    with Client(backend="local", workers=4) as client:
-        print(client.table3(designs=["c432", "c880"]).report().render())
+    with Client(workers=4) as client:
+        result = client.run("table3", {"designs": ["c432", "c880"]})
+        print(result.report().render())
 
     with Client(backend="service") as client:    # auto-spawned service
         job = client.submit("defense-sweep", {"design": "c432"})
@@ -40,7 +42,6 @@ from .backends import (
     Backend,
     BackendError,
     BackendOutcome,
-    InlineBackend,
     JobCancelled,
     LocalBackend,
     ServiceBackend,
@@ -200,17 +201,19 @@ class ResultSet:
         return matched
 
     def report(self):
-        """Grid-aware legacy report object (lazy).
+        """The grid's paper report object (lazy).
 
         ``table3`` grids yield a
         :class:`~repro.eval.table3.Table3Report`, ``figure5`` /
         ``ablation`` a :class:`~repro.eval.figure5.Figure5Report`,
         ``defense-sweep`` a
-        :class:`~repro.defense.evaluation.DefenseSweepReport`; other
-        grids (and raw spec submissions) have no bespoke report and
-        return None — use :meth:`render` for the generic table.
+        :class:`~repro.defense.evaluation.DefenseSweepReport`,
+        ``candidate-lists`` a :class:`~repro.eval.zhang.ZhangReport`;
+        other grids (and raw spec submissions) have no bespoke report
+        and return None — use :meth:`render` for the generic table.
         """
         from ..experiments.reports import (
+            candidate_lists_report,
             defense_report,
             figure5_report,
             table3_report,
@@ -218,23 +221,21 @@ class ResultSet:
 
         if self.grid == "table3":
             return table3_report(
-                self.records,
-                flow_timeout_s=self.params.get("flow_timeout_s", 120.0),
-                train_seconds=self.train_seconds,
+                self.records, train_seconds=self.train_seconds
             )
         if self.grid in ("figure5", "ablation"):
-            layer = self.params.get("split_layer")
-            if layer is None and self.specs:
-                layer = self.specs[0].split_layer
-            return figure5_report(self.records, split_layer=layer or 3)
-        if self.grid == "defense-sweep":
-            design = self.params.get("design") or self.specs[0].design
-            layer = self.params.get("split_layer")
-            if layer is None:
-                layer = self.specs[0].split_layer
-            return defense_report(
-                self.records, design=design, split_layer=int(layer)
+            return figure5_report(
+                self.records, split_layer=self.specs[0].split_layer
             )
+        if self.grid == "defense-sweep":
+            first = self.specs[0]
+            return defense_report(
+                self.records,
+                design=first.design,
+                split_layer=first.split_layer,
+            )
+        if self.grid == "candidate-lists":
+            return candidate_lists_report(self.records)
         return None
 
     def render(self, title: str | None = None) -> str:
@@ -316,8 +317,8 @@ class Job:
     """Handle for one submission: wait for, inspect or cancel it.
 
     Lifecycle mirrors the service queue: ``queued`` -> ``running`` ->
-    ``done`` | ``failed`` | ``cancelled``.  For the in-process backends
-    the work runs inside :meth:`wait`; for the service backend the
+    ``done`` | ``failed`` | ``cancelled``.  For the local backend the
+    work runs inside :meth:`wait`; for the service backend the
     work runs remotely and :meth:`wait` follows the job's SSE stream.
     """
 
@@ -365,9 +366,9 @@ class Job:
         failed (or, on the service backend, if its event stream broke
         before the end).  ``timeout`` bounds the service backend's wait
         on the job's event stream (:class:`TimeoutError` when it
-        elapses; the job keeps running server-side); the in-process
-        backends execute the sweep inside this call and are not
-        preemptible, so they ignore it.
+        elapses; the job keeps running server-side); the local backend
+        executes the sweep inside this call and is not preemptible, so
+        it ignores it.
         """
         if self._result is not None:
             return self._result
@@ -375,7 +376,7 @@ class Job:
             raise JobCancelled(f"job {self.job_id or ''} was cancelled")
         if self.status == "failed":
             # Terminal: re-waiting must re-raise, never re-execute the
-            # sweep (the in-process backends run it inside this call).
+            # sweep (the local backend runs it inside this call).
             raise BackendError(
                 f"job {self.job_id or ''} failed: {self.error}"
             )
@@ -409,8 +410,9 @@ class Client:
     Parameters
     ----------
     backend:
-        ``"inline"`` (default), ``"local"``, ``"service"``, or an
-        already-constructed :class:`~repro.api.backends.Backend`.
+        ``"local"`` (default: the sweep engine in this process),
+        ``"service"``, or an already-constructed
+        :class:`~repro.api.backends.Backend`.
     store:
         Results store: a :class:`~repro.experiments.store.ResultsStore`,
         a path, ``None`` for the default location
@@ -418,7 +420,8 @@ class Client:
         ``False`` for no store (results are returned but not recorded).
     workers:
         Worker-process knob for the local backend (and for the
-        scheduler of an auto-spawned service).
+        scheduler of an auto-spawned service); ``None`` reads
+        ``REPRO_WORKERS`` and defaults to serial.
     url:
         Service backend only — base URL of a running attack service;
         ``None`` auto-spawns an in-process service on first use.
@@ -435,7 +438,7 @@ class Client:
 
     def __init__(
         self,
-        backend: str | Backend = "inline",
+        backend: str | Backend = "local",
         store=None,
         workers: int | None = None,
         url: str | None = None,
@@ -462,16 +465,13 @@ class Client:
             self.store = ResultsStore(store)
         if isinstance(backend, Backend):
             self.backend = backend
-        elif backend == "inline":
-            self.backend = InlineBackend(store=self.store)
         elif backend == "local":
             self.backend = LocalBackend(store=self.store, workers=workers)
         elif backend == "service":
             if store is False:
                 raise ValueError(
                     "the service backend always records to its results "
-                    "store; use the inline/local backend with "
-                    "store=False"
+                    "store; use the local backend with store=False"
                 )
             if url is not None and store is not None:
                 raise ValueError(
@@ -608,72 +608,6 @@ class Client:
             for attack in attacks
         ]
         return self.run(specs, **run_kwargs)
-
-    def table3(
-        self,
-        designs=None,
-        split_layers=(1, 3),
-        config: AttackConfig | None = None,
-        train_names=None,
-        flow_timeout_s: float = 120.0,
-        **run_kwargs,
-    ) -> ResultSet:
-        """The Table 3 suite; ``.report()`` yields the legacy report."""
-        return self.run(
-            "table3",
-            {
-                "designs": designs,
-                "split_layers": split_layers,
-                "config": config,
-                "train_names": train_names,
-                "flow_timeout_s": flow_timeout_s,
-            },
-            **run_kwargs,
-        )
-
-    def figure5(
-        self,
-        designs=("c432", "c880", "c1355", "b11"),
-        split_layer: int = 3,
-        config: AttackConfig | None = None,
-        train_names=None,
-        **run_kwargs,
-    ) -> ResultSet:
-        """The Figure 5 ablation; ``.report()`` yields the legacy report."""
-        return self.run(
-            "figure5",
-            {
-                "designs": designs,
-                "split_layer": split_layer,
-                "config": config,
-                "train_names": train_names,
-            },
-            **run_kwargs,
-        )
-
-    def defense_sweep(
-        self,
-        design: str,
-        split_layer: int = 3,
-        perturbations=(4.0, 8.0, 16.0),
-        lift_fractions=(0.25, 0.5),
-        with_flow: bool = True,
-        seed: int = 0,
-        **run_kwargs,
-    ) -> ResultSet:
-        """The defense sweep; ``.report()`` yields the legacy report."""
-        return self.run(
-            "defense-sweep",
-            {
-                "design": design,
-                "split_layer": split_layer,
-                "perturbations": perturbations,
-                "lift_fractions": lift_fractions,
-                "with_flow": with_flow,
-                "seed": seed,
-            },
-            **run_kwargs,
-        )
 
     # -- queries -------------------------------------------------------
     def results(self, **filters) -> list[ScenarioRecord]:

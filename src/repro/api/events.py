@@ -4,7 +4,7 @@ The sweep engine reports progress through a ``progress(str)`` hook
 plus an ``on_node(node, value, seconds)`` callback; the service
 streams per-job events over SSE.  The facade narrows both to one
 callable — ``on_event(event)`` — with a small, stable vocabulary of
-event kinds, so a caller observing an inline run and a caller
+event kinds, so a caller observing a local run and a caller
 streaming a remote service's job write the same handler.
 
 Event kinds
@@ -87,22 +87,5 @@ def message_printer(prefix: str = "  .. ", write=print):
     def on_event(event: ProgressEvent) -> None:
         if event.kind == "message" and event.message:
             write(f"{prefix}{event.message}")
-
-    return on_event
-
-
-def progress_adapter(progress):
-    """Wrap a legacy ``progress(str)`` hook as an ``on_event`` callable.
-
-    Only ``message`` events are forwarded — exactly the strings the
-    engine's hook emits — so the harness entry points keep their
-    historical progress output.
-    """
-    if progress is None:
-        return None
-
-    def on_event(event: ProgressEvent) -> None:
-        if event.kind == "message" and event.message:
-            progress(event.message)
 
     return on_event

@@ -105,7 +105,6 @@ class DLAttack:
         )
         rng = np.random.default_rng(self.config.seed)
         batch_size = self.config.batch_groups
-        dedup = self.config.train_image_dedup and self.config.use_images
         # Validation datasets are built once: candidate selection and
         # feature extraction are identical every epoch, so rebuilding
         # them per epoch (as `select` does for ad-hoc layouts) would
@@ -133,7 +132,8 @@ class DLAttack:
                         [dataset.groups[i] for i in indices],
                         self.normalizer,
                         True,
-                        dedup_images=dedup,
+                        # Conv tower once per unique image per batch.
+                        dedup_images=self.config.use_images,
                     )
                     for dataset, indices in by_dataset.values()
                 ]

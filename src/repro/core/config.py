@@ -65,11 +65,6 @@ class AttackConfig:
     dropout: float = field(default=0.0, metadata=MODEL)
     weight_decay: float = field(default=0.0, metadata=MODEL)
     grad_clip: float | None = field(default=None, metadata=MODEL)
-    # Execution strategy, not model identity: run the conv tower once
-    # per unique image per training batch (gather/scatter-grad) instead
-    # of once per duplicate slot.  ``False`` selects the materialised
-    # reference path.
-    train_image_dedup: bool = field(default=True, metadata=EXECUTION)
 
     extras: dict = field(
         default_factory=dict, compare=False, metadata=EXECUTION
@@ -113,12 +108,6 @@ class AttackConfig:
         payload = {k: v for k, v in vars(self).items() if k != "extras"}
         for key in self._TUPLE_FIELDS:
             payload[key] = list(payload[key])
-        # Hash-neutral at its inert value (the rf_list_threshold
-        # precedent): train_image_dedup picks an execution strategy with
-        # identical model semantics, so the default must not rotate
-        # scenario hashes minted before the field existed.
-        if payload.get("train_image_dedup") is True:
-            del payload["train_image_dedup"]
         return payload
 
     @classmethod

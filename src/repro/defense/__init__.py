@@ -1,10 +1,6 @@
 """repro.defense — placement/routing defenses (the paper's future work)."""
 
-from .evaluation import (
-    DefenseCell,
-    DefenseSweepReport,
-    run_defense_sweep,
-)
+from .evaluation import DefenseCell, DefenseSweepReport
 from .lifting import lifted_layout, lifted_net_names
 from .perturbation import DefenseReport, perturbed_layout
 
@@ -15,5 +11,4 @@ __all__ = [
     "lifted_layout",
     "lifted_net_names",
     "perturbed_layout",
-    "run_defense_sweep",
 ]

@@ -1,12 +1,12 @@
-"""Defense sweep harness: security/PPA trade-off of the defenses.
+"""Defense sweep report: security/PPA trade-off of the defenses.
 
 The paper's conclusion points at placement- and routing-based defenses
-as future work; this harness quantifies both on one design.  Every
-sweep point — the undefended baseline, each placement-perturbation
-strength, each net-lifting fraction — is an independent
-build-layout -> split -> attack cell of the ``defense-sweep`` grid, so
-the DAG engine fans them out over processes: pass ``workers=`` or set
-``REPRO_WORKERS``.
+as future work; the ``defense-sweep`` registry grid quantifies both on
+one design.  Every sweep point — the undefended baseline, each
+placement-perturbation strength, each net-lifting fraction — is an
+independent build-layout -> split -> attack cell, so the DAG engine
+fans them out over processes (``Client(workers=...)`` or
+``REPRO_WORKERS``); ``ResultSet.report()`` fills this module's report.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..eval.tables import render_table
-
-DEFAULT_PERTURBATIONS = (4.0, 8.0, 16.0)
-DEFAULT_LIFT_FRACTIONS = (0.25, 0.5)
 
 
 @dataclass
@@ -67,41 +64,3 @@ class DefenseSweepReport:
                 f"Defenses on {self.design}, split after M{self.split_layer}"
             ),
         )
-
-
-def run_defense_sweep(
-    design: str,
-    split_layer: int = 3,
-    perturbations: tuple[float, ...] = DEFAULT_PERTURBATIONS,
-    lift_fractions: tuple[float, ...] = DEFAULT_LIFT_FRACTIONS,
-    with_flow: bool = True,
-    workers: int | None = None,
-    progress=None,
-    store=None,
-    resume: bool = True,
-) -> DefenseSweepReport:
-    """Sweep the defenses on one design.
-
-    A thin call into :class:`repro.api.Client` on the local backend:
-    the ``defense-sweep`` registry grid builds each defended layout
-    once and shares it between the proximity and flow cells attacking
-    it.  ``store`` records the results and resumes completed cells
-    from it; the default ``None`` records nothing.
-    """
-    from ..api import Client, progress_adapter
-
-    with Client(
-        backend="local",
-        store=store if store is not None else False,
-        workers=workers,
-    ) as client:
-        result = client.defense_sweep(
-            design,
-            split_layer=split_layer,
-            perturbations=perturbations,
-            lift_fractions=lift_fractions,
-            with_flow=with_flow,
-            resume=resume,
-            on_event=progress_adapter(progress),
-        )
-    return result.report()

@@ -1,25 +1,22 @@
-"""repro.eval — experiment harnesses regenerating the paper's tables/figures."""
+"""repro.eval — report types and renderers for the paper's tables/figures.
+
+The registry grids in :mod:`repro.experiments.registry` produce the
+numbers; ``ResultSet.report()`` fills these types from the records.
+"""
 
 from .figure5 import (
     PAPER_CCR_GAINS,
     VARIANTS,
     Figure5Report,
     Figure5Result,
-    run_figure5,
     variant_config,
 )
-from .table3 import (
-    DEFAULT_FLOW_TIMEOUT_S,
-    Table3Report,
-    Table3Row,
-    run_table3,
-)
+from .table3 import Table3Report, Table3Row
 from .tables import fmt_or_na, render_bars, render_markdown_table, render_table
 from .timeout import TimedResult, Timeout, run_with_timeout
-from .zhang import ZhangReport, ZhangRow, run_candidate_list_comparison
+from .zhang import ZhangReport, ZhangRow
 
 __all__ = [
-    "DEFAULT_FLOW_TIMEOUT_S",
     "Figure5Report",
     "Figure5Result",
     "PAPER_CCR_GAINS",
@@ -30,13 +27,10 @@ __all__ = [
     "VARIANTS",
     "ZhangReport",
     "ZhangRow",
-    "run_candidate_list_comparison",
     "fmt_or_na",
     "render_bars",
     "render_markdown_table",
     "render_table",
-    "run_figure5",
-    "run_table3",
     "run_with_timeout",
     "variant_config",
 ]

@@ -1,4 +1,4 @@
-"""Figure 5 harness: loss-function and image-feature ablation.
+"""Figure 5 report: loss-function and image-feature ablation.
 
 The paper's Figure 5 compares three settings on the M3 split:
 
@@ -9,8 +9,11 @@ The paper's Figure 5 compares three settings on the M3 split:
 * **Vec & Img** — softmax loss plus image features: 1.09x the baseline,
   at comparable inference time (Figure 5(b)).
 
-This harness trains the three variants on the same corpus and reports
-average CCR and average inference time over the attack designs.
+The ``figure5`` registry grid trains the three variants on the same
+corpus, shares each model across every design cell and times inference
+cache-free (warm feature/embedding caches would hide the image
+branch's cost); this report holds the average CCR and average
+inference time over the attack designs.
 """
 
 from __future__ import annotations
@@ -93,43 +96,3 @@ class Figure5Report:
             f"{table}\n\n(a) average CCR\n{chart_a}"
             f"\n\n(b) average inference time\n{chart_b}"
         )
-
-
-def run_figure5(
-    designs: list[str],
-    split_layer: int = 3,
-    config: AttackConfig | None = None,
-    train_names: tuple[str, ...] | None = None,
-    progress=None,
-    workers: int | None = None,
-    store=None,
-    resume: bool = True,
-) -> Figure5Report:
-    """Train the three Figure 5 variants and evaluate them.
-
-    A thin call into :class:`repro.api.Client` on the local backend:
-    the ``figure5`` registry grid trains one model per variant, shares
-    it across every design cell, and times inference cache-free (warm
-    feature/embedding caches would hide the image branch's cost).
-    ``workers`` (or ``REPRO_WORKERS``) runs cells in parallel; the
-    per-design timings are then wall-clock under CPU contention, so
-    use a serial run when the absolute Figure 5(b) numbers matter.
-    ``store`` records the results and resumes completed cells from it;
-    the default ``None`` records nothing.
-    """
-    from ..api import Client, progress_adapter
-
-    with Client(
-        backend="local",
-        store=store if store is not None else False,
-        workers=workers,
-    ) as client:
-        result = client.figure5(
-            designs=designs,
-            split_layer=split_layer,
-            config=config or AttackConfig.fast(),
-            train_names=train_names,
-            resume=resume,
-            on_event=progress_adapter(progress),
-        )
-    return result.report()

@@ -1,6 +1,7 @@
-"""Table 3 harness: flow attack vs DL attack on the 16-design suite.
+"""Table 3 report: flow attack vs DL attack on the 16-design suite.
 
-Reproduces, per design and per split layer (M1 and M3):
+The ``table3`` registry grid produces, per design and per split layer
+(M1 and M3):
 
 * the problem size (#Sk sink fragments, #Sc source fragments),
 * CCR of the network-flow attack [1] and of the DL attack,
@@ -17,15 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.config import AttackConfig
 from ..netlist.benchmarks import PaperRow
 from .tables import fmt_or_na, render_markdown_table, render_table
 
-# Scaled counterpart of the paper's 100 000 s cap.  The paper's budget
-# exceeds its largest per-design flow runtime (94 281 s) by ~6 %; ours
-# is sized so the flow attack times out on the largest scaled designs,
-# reproducing the "N/A" pattern of Table 3.
-DEFAULT_FLOW_TIMEOUT_S = 120.0
+HEADERS = [
+    "Design", "#Sk", "#Sc", "CCR flow %", "CCR DL %",
+    "t flow (s)", "t DL (s)", "paper flow %", "paper DL %",
+]
 
 
 @dataclass
@@ -44,7 +43,7 @@ class Table3Row:
 @dataclass
 class Table3Report:
     rows: list[Table3Row] = field(default_factory=list)
-    flow_timeout_s: float = DEFAULT_FLOW_TIMEOUT_S
+    flow_timeout_s: float | None = None  # the flow cells' budget
     train_seconds: dict[int, float] = field(default_factory=dict)
 
     def layer_rows(self, split_layer: int) -> list[Table3Row]:
@@ -73,25 +72,31 @@ class Table3Report:
         return avg
 
     # -- rendering ------------------------------------------------------
+    def _body(self, split_layer: int) -> list[list[str]]:
+        """One 9-column row per design (both renderers share it)."""
+        return [
+            [
+                r.design,
+                str(r.n_sink_fragments),
+                str(r.n_source_fragments),
+                fmt_or_na(r.ccr_flow), f"{r.ccr_dl:.2f}",
+                fmt_or_na(r.runtime_flow), f"{r.runtime_dl:.2f}",
+                fmt_or_na(r.paper.ccr_flow) if r.paper else "-",
+                f"{r.paper.ccr_dl:.2f}" if r.paper else "-",
+            ]
+            for r in sorted(
+                self.layer_rows(split_layer), key=lambda r: r.design
+            )
+        ]
+
     def render(self) -> str:
+        timeout = (
+            "" if self.flow_timeout_s is None
+            else f" (flow timeout {self.flow_timeout_s:.0f}s)"
+        )
         blocks = []
         for layer in sorted({r.split_layer for r in self.rows}):
-            headers = [
-                "Design", "#Sk", "#Sc",
-                "CCR flow %", "CCR DL %", "t flow (s)", "t DL (s)",
-                "paper flow %", "paper DL %",
-            ]
-            body = []
-            for r in sorted(self.layer_rows(layer), key=lambda r: r.design):
-                body.append([
-                    r.design,
-                    str(r.n_sink_fragments),
-                    str(r.n_source_fragments),
-                    fmt_or_na(r.ccr_flow), f"{r.ccr_dl:.2f}",
-                    fmt_or_na(r.runtime_flow), f"{r.runtime_dl:.2f}",
-                    fmt_or_na(r.paper.ccr_flow) if r.paper else "-",
-                    f"{r.paper.ccr_dl:.2f}" if r.paper else "-",
-                ])
+            body = self._body(layer)
             avg = self.averages(layer)
             if avg:
                 body.append([
@@ -108,9 +113,8 @@ class Table3Report:
                 ])
             blocks.append(
                 render_table(
-                    headers, body,
-                    title=f"Table 3 — split after M{layer} "
-                    f"(flow timeout {self.flow_timeout_s:.0f}s)",
+                    HEADERS, body,
+                    title=f"Table 3 — split after M{layer}{timeout}",
                 )
             )
         return "\n\n".join(blocks)
@@ -118,23 +122,8 @@ class Table3Report:
     def to_markdown(self) -> str:
         blocks = []
         for layer in sorted({r.split_layer for r in self.rows}):
-            headers = [
-                "Design", "#Sk", "#Sc", "CCR flow %", "CCR DL %",
-                "t flow (s)", "t DL (s)", "paper flow %", "paper DL %",
-            ]
-            body = [
-                [
-                    r.design, str(r.n_sink_fragments),
-                    str(r.n_source_fragments),
-                    fmt_or_na(r.ccr_flow), f"{r.ccr_dl:.2f}",
-                    fmt_or_na(r.runtime_flow), f"{r.runtime_dl:.2f}",
-                    fmt_or_na(r.paper.ccr_flow) if r.paper else "-",
-                    f"{r.paper.ccr_dl:.2f}" if r.paper else "-",
-                ]
-                for r in sorted(self.layer_rows(layer), key=lambda r: r.design)
-            ]
             blocks.append(f"### Split after M{layer}\n\n"
-                          + render_markdown_table(headers, body))
+                          + render_markdown_table(HEADERS, self._body(layer)))
             avg = self.averages(layer)
             if avg:
                 blocks.append(
@@ -145,43 +134,3 @@ class Table3Report:
                     f"(paper: 1.21x / 0.001 on M1, 1.12x / 0.002 on M3)."
                 )
         return "\n\n".join(blocks)
-
-
-def run_table3(
-    designs: list[str] | None = None,
-    split_layers: tuple[int, ...] = (1, 3),
-    config: AttackConfig | None = None,
-    train_names: tuple[str, ...] | None = None,
-    flow_timeout_s: float = DEFAULT_FLOW_TIMEOUT_S,
-    progress=None,
-    workers: int | None = None,
-    store=None,
-    resume: bool = True,
-) -> Table3Report:
-    """Regenerate Table 3 (or a subset of it).
-
-    A thin call into :class:`repro.api.Client` on the local backend:
-    the ``table3`` registry grid runs through the DAG sweep engine and
-    the report is assembled from its records.  ``workers`` (or
-    ``REPRO_WORKERS``) fans the engine's levels out over processes.
-    ``store`` (a :class:`repro.experiments.ResultsStore` or a path)
-    records the results and resumes completed scenarios from it; the
-    default ``None`` records nothing.
-    """
-    from ..api import Client, progress_adapter
-
-    with Client(
-        backend="local",
-        store=store if store is not None else False,
-        workers=workers,
-    ) as client:
-        result = client.table3(
-            designs=designs,
-            split_layers=split_layers,
-            config=config or AttackConfig.fast(),
-            train_names=train_names,
-            flow_timeout_s=flow_timeout_s,
-            resume=resume,
-            on_event=progress_adapter(progress),
-        )
-    return result.report()

@@ -7,8 +7,9 @@ The subsystem turns experiment campaigns into data:
   config, budget) combination; dict/JSON round-trippable and
   content-hashable;
 * :mod:`~repro.experiments.registry` — named grids of specs
-  (``table3``, ``figure5``, ``defense-sweep``, ``attack-matrix``,
-  ``cross-defense``, plus anything registered at runtime);
+  (``table3``, ``figure5``, ``defense-sweep``, ``candidate-lists``,
+  ``attack-matrix``, ``cross-defense``, plus anything registered at
+  runtime) — each paper artifact is one grid;
 * :func:`run_sweep` — plans a grid as an artifact DAG (layouts ->
   trained weights -> evaluations), dedups shared artifacts across
   scenarios, executes ready nodes through the multi-process executor
@@ -37,6 +38,7 @@ from .registry import (
     register,
 )
 from .reports import (
+    candidate_lists_report,
     defense_report,
     figure5_report,
     render_records,
@@ -62,6 +64,7 @@ __all__ = [
     "SweepResult",
     "attach_node_telemetry",
     "build_grid",
+    "candidate_lists_report",
     "defense_report",
     "evaluate_scenario",
     "figure5_report",

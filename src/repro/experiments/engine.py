@@ -43,7 +43,6 @@ from ..attacks.proximity import ProximityAttack
 from ..attacks.random_forest import RandomForestAttack
 from ..core.artifacts import (
     artifact_store,
-    cache_root,
     feature_config_fingerprint,
     features_key,
     layout_key,
@@ -58,7 +57,7 @@ from ..pipeline.flow import (
     get_defended_split,
     trained_attack,
 )
-from ..pipeline.parallel import Executor, resolve_workers
+from ..pipeline.parallel import Executor, sweep_executor
 from ..split.metrics import candidate_list_recall, ccr
 from .spec import ScenarioSpec
 from .store import ResultsStore, ScenarioRecord
@@ -496,10 +495,7 @@ def _run_sweep_traced(
         plan = plan_sweep(specs, store=store, resume=resume)
     owns_executor = executor is None
     if owns_executor:
-        n_workers = resolve_workers(workers)
-        if n_workers > 1 and cache_root() is None:
-            n_workers = 1  # no coordination medium: fall back to serial
-        executor = Executor(n_workers)
+        executor = sweep_executor(workers)
     by_hash: dict[str, ScenarioRecord] = {
         r.scenario_hash: r for r in plan.reused
     }

@@ -1,10 +1,10 @@
-"""Report builders: results-store records -> legacy report objects.
+"""Report builders: results-store records -> paper report objects.
 
-The pretty-printing surface of the repo (``Table3Report``,
-``Figure5Report``, ``DefenseSweepReport`` and their ``render``
-methods) predates the experiments subsystem and is kept as-is; these
-builders reconstruct those reports from :class:`ScenarioRecord` rows so
-formatters and scripts read the store instead of recomputing attacks.
+Each paper artifact's report type (``Table3Report``,
+``Figure5Report``, ``DefenseSweepReport``, ``ZhangReport``) is filled
+from :class:`ScenarioRecord` rows by one builder here, so
+``ResultSet.report()``, formatters and scripts read records instead of
+recomputing attacks.
 """
 
 from __future__ import annotations
@@ -34,13 +34,13 @@ def _cell_index(records: list[ScenarioRecord]) -> dict:
 
 def table3_report(
     records: list[ScenarioRecord],
-    flow_timeout_s: float = 120.0,
     train_seconds: dict | None = None,
 ):
     """Assemble a :class:`repro.eval.table3.Table3Report` from records.
 
-    ``train_seconds`` accepts either the legacy per-layer dict or the
-    sweep engine's (layer, config fingerprint)-keyed dict.
+    The flow timeout comes from the flow scenarios themselves.
+    ``train_seconds`` accepts either a per-layer dict or the sweep
+    engine's (layer, config fingerprint)-keyed dict.
     """
     from ..eval.table3 import Table3Report, Table3Row
     from ..netlist.benchmarks import TABLE3_BY_NAME
@@ -53,7 +53,15 @@ def table3_report(
         if s["defense"]["kind"] == "none" and cell not in cells:
             cells.append(cell)
 
-    report = Table3Report(flow_timeout_s=flow_timeout_s)
+    report = Table3Report(
+        flow_timeout_s=next(
+            (
+                r.scenario["flow_timeout_s"] for r in records
+                if r.scenario["attack"] == "flow"
+            ),
+            None,
+        )
+    )
     for key, seconds in (train_seconds or {}).items():
         layer = key[0] if isinstance(key, tuple) else key
         report.train_seconds[layer] = seconds
@@ -107,6 +115,48 @@ def figure5_report(records: list[ScenarioRecord], split_layer: int = 3):
                 per_design_ccr=ccrs,
             )
         )
+    return report
+
+
+def candidate_lists_report(records: list[ScenarioRecord]):
+    """Assemble a :class:`repro.eval.zhang.ZhangReport` from records.
+
+    One row per rf record (design x threshold, in record order): DL
+    CCR from the design's ``dl`` record, the forest's columns from the
+    rf record's CCR and ``extra["rf"]``.
+    """
+    from ..eval.zhang import ZhangReport, ZhangRow
+
+    dl = {
+        (r.scenario["design"], r.scenario["split_layer"]): r
+        for r in records
+        if r.scenario["attack"] == "dl"
+    }
+    report = ZhangReport()
+    forest_seconds = []
+    for record in records:
+        s = record.scenario
+        dl_record = dl.get((s["design"], s["split_layer"]))
+        if s["attack"] != "rf" or dl_record is None:
+            continue
+        rf = record.extra["rf"]
+        report.split_layer = s["split_layer"]
+        report.rows.append(
+            ZhangRow(
+                design=s["design"],
+                dl_ccr=dl_record.ccr,
+                rf_single_ccr=record.ccr,
+                rf_list_recall=rf["list_recall"],
+                rf_mean_list_size=rf["mean_list_size"],
+                log10_combinations=rf["log10_combinations"],
+                list_threshold=rf["list_threshold"],
+            )
+        )
+        if record.train_seconds is not None:
+            forest_seconds.append(record.train_seconds)
+    if forest_seconds:
+        # Each rf scenario trains its own forest: report one training.
+        report.rf_train_seconds = sum(forest_seconds) / len(forest_seconds)
     return report
 
 

@@ -12,15 +12,16 @@ fan-out needs no locks and produces results identical to a serial run.
 Knobs
 -----
 * ``workers=`` on :class:`Executor`, on :class:`repro.api.Client`
-  (local backend), on the harness entry points (``run_table3``,
-  ``run_figure5``, ``run_defense_sweep``) and the CLI ``--workers``
-  flags;
+  (local backend, and the scheduler of an auto-spawned service) and
+  the CLI ``--workers`` flags;
 * ``REPRO_WORKERS`` environment variable — the default when
   ``workers`` is None (unset/empty means serial);
 * ``workers=0`` means "one per CPU core".
 
 Serial execution (``workers`` resolving to 1) never spawns processes,
-so the default behaviour and test determinism are unchanged.
+so the default behaviour and test determinism are unchanged.  Sweeps
+build their executor with :func:`sweep_executor`, which also runs
+serially when the disk cache is disabled.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
+from ..core.artifacts import cache_root
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-__all__ = ["Executor", "resolve_workers"]
+__all__ = ["Executor", "resolve_workers", "sweep_executor"]
 
 
 def _batch_metrics():
@@ -191,3 +193,15 @@ class Executor:
     def __exit__(self, *exc) -> None:
         self.close()
 
+
+def sweep_executor(workers: int | None = None) -> Executor:
+    """An :class:`Executor` for DAG sweeps.
+
+    Sweep workers share artifacts only through the disk cache, so with
+    the cache disabled (``REPRO_CACHE_DIR=``) there is no coordination
+    medium and the sweep runs serially whatever ``workers`` says.
+    """
+    n_workers = resolve_workers(workers)
+    if cache_root() is None:
+        n_workers = 1
+    return Executor(n_workers)

@@ -52,7 +52,6 @@ import threading
 import time
 import traceback
 
-from ..core.artifacts import cache_root
 from ..experiments.engine import (
     NodeKey,
     PlanNode,
@@ -65,7 +64,7 @@ from ..experiments.store import ResultsStore, ScenarioRecord
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.logging import log_event
-from ..pipeline.parallel import Executor, resolve_workers
+from ..pipeline.parallel import Executor, sweep_executor
 from .queue import DEFAULT_LEASE_S, Job, JobQueue
 
 
@@ -175,10 +174,7 @@ class SweepScheduler:
         self.on_job_event = on_job_event
         self._owns_executor = executor is None
         if executor is None:
-            n_workers = resolve_workers(workers)
-            if n_workers > 1 and cache_root() is None:
-                n_workers = 1  # no coordination medium: serial
-            executor = Executor(n_workers)
+            executor = sweep_executor(workers)
         self.executor = executor
         # Readers of the store (HTTP query handlers) and this thread's
         # writes share one lock so query snapshots are never torn.

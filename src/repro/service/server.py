@@ -95,6 +95,15 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_PROFILE_S = 30.0
 MAX_PROFILE_HZ = 250.0
 MAX_PROFILE_STACKS = 200
+#: Listen backlog of the HTTP socket.  socketserver's default (5) drops
+#: connection attempts beyond it when many clients connect at once, and
+#: each dropped client only gets in on its SYN retry about a second
+#: later, which is what a p99 then measures.
+LISTEN_BACKLOG = 128
+
+
+class _ServiceHTTPServer(ThreadingHTTPServer):
+    request_queue_size = LISTEN_BACKLOG
 
 
 def _http_metrics():
@@ -210,7 +219,7 @@ class AttackService:
         handler = type(
             "BoundServiceHandler", (ServiceHandler,), {"service": self}
         )
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = _ServiceHTTPServer((host, port), handler)
         self.host, self.port = self.httpd.server_address[:2]
         self._http_thread: threading.Thread | None = None
         # Jobs we already re-read the store for (cross-process record

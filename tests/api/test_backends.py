@@ -1,4 +1,4 @@
-"""Backend parity: inline, local and service yield identical records.
+"""Backend parity: local and service yield identical records.
 
 The golden two-scenario sweep (proximity on the committed warm c432 and
 c880 layouts, M3) runs through each backend of :class:`repro.api.Client`
@@ -32,7 +32,7 @@ GOLDEN_SPECS = [
      "tags": ["golden"]},
 ]
 
-BACKENDS = ("inline", "local", "service")
+BACKENDS = ("local", "service")
 
 
 @pytest.fixture()
@@ -107,12 +107,12 @@ def test_backend_parity_on_golden_sweep(warm_cache, monkeypatch):
             )
         hashes[backend] = result_hash(result)
         results[backend] = result
-    # The acceptance bar: identical payloads across all three backends.
+    # The acceptance bar: identical payloads across both backends.
     assert len(set(hashes.values())) == 1, hashes
     assert time.monotonic() - started < 10.0
     # The service job id travelled onto the result set.
     assert results["service"].job_id is not None
-    assert results["inline"].job_id is None
+    assert results["local"].job_id is None
 
 
 def test_service_backend_resubmission_answers_from_store(

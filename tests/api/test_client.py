@@ -52,6 +52,9 @@ class TestSubmission:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             Client(backend="cluster")
+        # The serial in-process backend is the local one with one worker.
+        with pytest.raises(ValueError, match="inline"):
+            Client(backend="inline")
 
     def test_service_backend_rejects_store_false(self):
         # The service always records to its results store; silently

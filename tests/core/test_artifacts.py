@@ -51,7 +51,7 @@ class TestFieldRoles:
 
     def test_execution_field_keys_nothing(self):
         base = AttackConfig.tiny()
-        other = base.with_(train_image_dedup=False)
+        other = base.with_(extras={"note": "scratch"})
         names = ("tiny_a",)
         split = get_split("tiny_a", 3)
         assert weights_key(other, 3, names) == weights_key(base, 3, names)

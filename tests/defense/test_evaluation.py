@@ -1,8 +1,8 @@
-"""Defense sweep harness (parallel-ready build-and-attack cells)."""
+"""Defense sweep grid and report (parallel-ready build-and-attack cells)."""
 
 import pytest
 
-from repro.defense import run_defense_sweep
+from repro.api import Client
 from repro.pipeline import clear_memo
 
 
@@ -13,13 +13,17 @@ def sweep(tmp_path_factory):
         "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache"))
     )
     clear_memo()
-    report = run_defense_sweep(
-        "tiny_a",
-        split_layer=3,
-        perturbations=(6.0,),
-        lift_fractions=(0.4,),
-        with_flow=False,
-    )
+    with Client(store=False) as client:
+        report = client.run(
+            "defense-sweep",
+            {
+                "design": "tiny_a",
+                "split_layer": 3,
+                "perturbations": (6.0,),
+                "lift_fractions": (0.4,),
+                "with_flow": False,
+            },
+        ).report()
     yield report
     patcher.undo()
     clear_memo()

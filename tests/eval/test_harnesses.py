@@ -1,18 +1,18 @@
-"""Table 3 / Figure 5 harnesses on a miniature corpus.
+"""Table 3 / Figure 5 grids and reports on a miniature corpus.
 
-These run the *real* harness code end-to-end with tiny configs and
-tiny designs; the full-scale regeneration lives in benchmarks/.
+These run the *real* grids end-to-end through ``Client.run(grid)
+.report()`` with tiny configs and tiny designs; the full-scale
+regeneration lives in benchmarks/.
 """
 
 import pytest
 
+from repro.api import Client
 from repro.core import AttackConfig
 from repro.eval import (
     PAPER_CCR_GAINS,
     Table3Report,
     Table3Row,
-    run_figure5,
-    run_table3,
     variant_config,
 )
 from repro.netlist.benchmarks import PaperRow
@@ -31,6 +31,11 @@ TINY = AttackConfig.tiny().with_(epochs=2)
 TRAIN = ("tiny_a", "tiny_b")
 
 
+def run_report(grid, **params):
+    with Client(store=False) as client:
+        return client.run(grid, params).report()
+
+
 class TestTable3Harness:
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):
@@ -42,7 +47,8 @@ class TestTable3Harness:
         )
         clear_memo()
         try:
-            yield run_table3(
+            yield run_report(
+                "table3",
                 designs=["tiny_seq"],
                 split_layers=(3,),
                 config=TINY,
@@ -71,6 +77,8 @@ class TestTable3Harness:
         text = report.render()
         assert "tiny_seq" in text
         assert "Table 3" in text
+        # the budget comes from the grid's flow scenarios
+        assert "(flow timeout 30s)" in text
         md = report.to_markdown()
         assert "| tiny_seq |" in md
 
@@ -114,7 +122,8 @@ class TestFigure5Harness:
         assert PAPER_CCR_GAINS["vec&img"] == 1.09
 
     def test_tiny_run(self):
-        report = run_figure5(
+        report = run_report(
+            "figure5",
             designs=["tiny_seq"],
             split_layer=3,
             config=TINY,

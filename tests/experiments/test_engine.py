@@ -1,13 +1,15 @@
-"""Sweep engine: planning, artifact reuse, resume, harness parity.
+"""Sweep engine: planning, artifact reuse, resume, paper-grid parity.
 
 All tests run on the tiny corpus with per-test isolated caches; the
-parity tests assert the harness entry points reproduce, exactly, CCRs
-computed by a short in-test oracle over the attack primitives
-(acceptance criterion of the experiments subsystem).
+parity tests assert the paper grids, run as ``Client.run(grid)
+.report()``, reproduce exactly the CCRs computed by a short in-test
+oracle over the attack primitives (acceptance criterion of the
+experiments subsystem).
 """
 
 import pytest
 
+from repro.api import Client
 from repro.attacks import NetworkFlowAttack, ProximityAttack
 from repro.core import AttackConfig
 from repro.core.attack import DLAttack
@@ -17,15 +19,8 @@ from repro.defense import (
     DefenseSweepReport,
     lifted_layout,
     perturbed_layout,
-    run_defense_sweep,
 )
-from repro.eval import (
-    VARIANTS,
-    run_figure5,
-    run_table3,
-    run_with_timeout,
-    variant_config,
-)
+from repro.eval import VARIANTS, run_with_timeout, variant_config
 from repro.experiments import (
     DefenseSpec,
     ResultsStore,
@@ -316,17 +311,23 @@ def oracle_defense_report(design, layer, perturbations, lift_fractions):
     return report
 
 
+def run_report(grid, store, **params):
+    with Client(store=store) as client:
+        return client.run(grid, params).report()
+
+
 class TestHarnessParity:
-    """The harness entry points (thin ``Client`` calls into the engine)
-    must reproduce CCRs computed directly from the attack primitives."""
+    """The paper grids, run through ``Client.run(grid).report()``, must
+    reproduce CCRs computed directly from the attack primitives."""
 
     def test_table3_parity(self, tmp_path):
         direct = oracle_table3_row("tiny_seq", 3, flow_timeout_s=30.0)
         store = ResultsStore(tmp_path / "exp.jsonl")
-        engine = run_table3(
+        params = dict(
             designs=["tiny_seq"], split_layers=(3,), config=TINY,
-            train_names=TRAIN, flow_timeout_s=30.0, store=store,
+            train_names=TRAIN, flow_timeout_s=30.0,
         )
+        engine = run_report("table3", store, **params)
         assert len(engine.rows) == 1
         e = engine.rows[0]
         assert (e.design, e.split_layer) == ("tiny_seq", 3)
@@ -336,19 +337,16 @@ class TestHarnessParity:
         assert e.ccr_flow == direct["ccr_flow"]
         assert "tiny_seq" in engine.render()
         # and the engine run is resumable: nothing re-executes
-        again = run_table3(
-            designs=["tiny_seq"], split_layers=(3,), config=TINY,
-            train_names=TRAIN, flow_timeout_s=30.0, store=store,
-        )
+        again = run_report("table3", store, **params)
         assert again.rows[0].ccr_dl == e.ccr_dl
         assert len(store.history()) == 2  # flow + dl, appended once
 
     def test_figure5_parity(self, tmp_path):
         direct = oracle_figure5_ccrs("tiny_seq", 3)
         store = ResultsStore(tmp_path / "exp.jsonl")
-        engine = run_figure5(
-            designs=["tiny_seq"], split_layer=3, config=TINY,
-            train_names=TRAIN, store=store,
+        engine = run_report(
+            "figure5", store, designs=["tiny_seq"], split_layer=3,
+            config=TINY, train_names=TRAIN,
         )
         assert [r.variant for r in engine.results] == list(VARIANTS)
         for e in engine.results:
@@ -363,7 +361,7 @@ class TestHarnessParity:
         )
         direct = oracle_defense_report("tiny_a", 3, (4.0,), (0.5,))
         store = ResultsStore(tmp_path / "exp.jsonl")
-        engine = run_defense_sweep("tiny_a", store=store, **kwargs)
+        engine = run_report("defense-sweep", store, design="tiny_a", **kwargs)
         assert [c.label for c in engine.cells] == [
             c.label for c in direct.cells
         ]

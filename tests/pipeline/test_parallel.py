@@ -4,10 +4,10 @@ serial-vs-parallel parity guarantee on the tiny designs."""
 import numpy as np
 import pytest
 
+from repro.api import Client
 from repro.core import AttackConfig
-from repro.eval import run_table3
 from repro.pipeline import Executor, clear_memo, resolve_workers
-from repro.pipeline.parallel import _square_probe
+from repro.pipeline.parallel import _square_probe, sweep_executor
 
 
 @pytest.fixture(autouse=True)
@@ -67,21 +67,38 @@ class TestExecutorMap:
             assert executor.map(_square_probe, []) == []
 
 
+class TestSweepExecutor:
+    def test_workers_with_disk_cache(self):
+        with sweep_executor(2) as executor:
+            assert executor.n_workers == 2
+
+    def test_no_disk_cache_runs_serially(self, monkeypatch):
+        # Sweep workers share artifacts only through the disk cache.
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")
+        with sweep_executor(4) as executor:
+            assert executor.n_workers == 1
+
+
 class TestSerialParallelParity:
     """Table 3 CCRs must not depend on the execution strategy."""
 
     def test_tiny_table3_identical(self):
         config = AttackConfig.tiny().with_(epochs=2)
-        kwargs = dict(
+        params = dict(
             designs=["tiny_a", "tiny_seq"],
             split_layers=(3,),
             config=config,
             train_names=("tiny_a", "tiny_b"),
             flow_timeout_s=60.0,
         )
-        serial = run_table3(workers=1, **kwargs)
+
+        def table3(workers):
+            with Client(store=False, workers=workers) as client:
+                return client.run("table3", params).report()
+
+        serial = table3(1)
         clear_memo()
-        parallel = run_table3(workers=2, **kwargs)
+        parallel = table3(2)
         assert len(serial.rows) == len(parallel.rows) == 2
         for s, p in zip(serial.rows, parallel.rows):
             assert s.design == p.design

@@ -9,6 +9,8 @@ scheduling any DAG node.  Runs serially in well under 10 seconds.
 """
 
 import json
+import select
+import socket
 import time
 from pathlib import Path
 
@@ -241,3 +243,42 @@ def test_removed_wait_parameter_is_rejected(service):
     assert f"/jobs/{job_id}/events" in str(err.value)
     # The plain status read still answers.
     assert client.wait(job_id, timeout=30.0)["status"] == "done"
+
+
+def test_listen_backlog_admits_concurrent_clients(monkeypatch, tmp_path):
+    """Connections wait in the listen backlog until a handler thread
+    accepts them.  With socketserver's default backlog of 5 the kernel
+    drops the rest, and each such client gets in only on its SYN retry
+    about a second later."""
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    svc = AttackService(
+        store=ResultsStore(tmp_path / "experiments.jsonl"),
+        queue_path=tmp_path / "queue.jsonl",
+    )
+    # Never started: nothing accepts, so every connection must fit in
+    # the backlog to complete its handshake.
+    n_clients = 32
+    socks = []
+    try:
+        for _ in range(n_clients):
+            sock = socket.socket()
+            sock.setblocking(False)
+            sock.connect_ex((svc.host, svc.port))
+            socks.append(sock)
+        pending = set(socks)
+        deadline = time.monotonic() + 0.5
+        while pending and time.monotonic() < deadline:
+            _, writable, _ = select.select(
+                [], list(pending), [], deadline - time.monotonic()
+            )
+            pending -= set(writable)
+        connected = [
+            sock for sock in socks
+            if sock not in pending
+            and sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) == 0
+        ]
+        assert len(connected) == n_clients
+    finally:
+        for sock in socks:
+            sock.close()
+        svc.httpd.server_close()

@@ -202,3 +202,53 @@ class TestCommands:
     def test_unknown_design_errors(self):
         with pytest.raises(KeyError):
             main(["build", "not_a_design"])
+
+
+class TestPaperCommands:
+    """``table3`` / ``figure5`` / ``defense`` are thin parsers over their
+    registry grids: an option left unset takes the grid's default, so
+    the command expands to exactly the grid's scenarios."""
+
+    @pytest.fixture()
+    def submitted(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.api import LocalBackend, ResultSet
+        from repro.api.backends import BackendOutcome
+
+        specs = []
+
+        def run(self, job, timeout=None):
+            specs.extend(job.specs)
+            return BackendOutcome(records=[])
+
+        monkeypatch.setattr(LocalBackend, "run", run)
+        monkeypatch.setattr(
+            ResultSet, "report",
+            lambda self: SimpleNamespace(render=lambda: "report"),
+        )
+        return specs
+
+    @pytest.mark.parametrize(
+        "argv, grid, params",
+        [
+            (["table3", "--designs", "c432"], "table3",
+             {"designs": ["c432"]}),
+            (["table3", "--layers", "3", "--flow-timeout", "5"], "table3",
+             {"split_layers": (3,), "flow_timeout_s": 5.0}),
+            (["figure5"], "figure5", {}),
+            (["defense", "c432", "--no-flow"], "defense-sweep",
+             {"design": "c432", "with_flow": False}),
+        ],
+        ids=["table3", "table3-options", "figure5", "defense"],
+    )
+    def test_command_expands_like_its_grid(
+        self, submitted, capsys, argv, grid, params
+    ):
+        from repro.experiments import build_grid
+
+        assert main(argv + ["--no-store"]) == 0
+        assert capsys.readouterr().out.strip() == "report"
+        assert [s.scenario_hash for s in submitted] == [
+            s.scenario_hash for s in build_grid(grid, **params)
+        ]

@@ -1,7 +1,6 @@
-"""Repository scripts: importability and block-filling logic."""
+"""Repository scripts: importability."""
 
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
@@ -15,61 +14,6 @@ def load_script(name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
-
-
-class TestUpdateExperiments:
-    def test_table3_block_renders(self):
-        mod = load_script("update_experiments")
-        summary = {
-            "table3": {
-                "m1": {"ccr_flow": 8.0, "ccr_dl": 10.0, "ccr_ratio": 1.25,
-                       "runtime_flow": 5.0, "runtime_dl": 2.0,
-                       "runtime_ratio": 0.4},
-                "m3": {"ccr_flow": 40.0, "ccr_dl": 48.0, "ccr_ratio": 1.2,
-                       "runtime_flow": 1.0, "runtime_dl": 1.0,
-                       "runtime_ratio": 1.0},
-                "rows": [
-                    {"design": "x", "layer": 1, "ccr_flow": None},
-                    {"design": "x", "layer": 3, "ccr_flow": 40.0},
-                ],
-            }
-        }
-        block = mod.table3_block(summary)
-        assert "1.25x" in block
-        assert "paper" in block
-        assert "time-outs: 1 of 2" in block
-
-    def test_figure5_block_renders(self):
-        mod = load_script("update_experiments")
-        summary = {
-            "figure5": {
-                "two-class": {"avg_ccr": 40.0, "avg_inference_s": 1.0},
-                "vec": {"avg_ccr": 44.0, "avg_inference_s": 1.1},
-                "vec&img": {"avg_ccr": 45.0, "avg_inference_s": 2.0},
-            },
-            "figure5_gains": {"two-class": 1.0, "vec": 1.1, "vec&img": 1.125},
-        }
-        block = mod.figure5_block(summary)
-        assert "1.10x" in block
-        assert "1.07x" in block  # paper reference
-
-    def test_replace_block_is_idempotent(self):
-        mod = load_script("update_experiments")
-        text = f"Header\n\n{mod.BEGIN_T3}\n\nFooter"
-        block = f"{mod.BEGIN_T3}\nGENERATED\n{mod.END}"
-        once = mod.replace_block(text, mod.BEGIN_T3, block)
-        assert "GENERATED" in once
-        twice = mod.replace_block(once, mod.BEGIN_T3, block)
-        assert twice == once
-
-    def test_replace_block_missing_marker(self):
-        mod = load_script("update_experiments")
-        try:
-            mod.replace_block("no markers", mod.BEGIN_T3, "x")
-        except SystemExit as exc:
-            assert "marker" in str(exc)
-        else:  # pragma: no cover
-            raise AssertionError("expected SystemExit")
 
 
 class TestRunFullExperiments:
