@@ -63,12 +63,12 @@ def test_direction_criterion_prunes_without_losing_recall(benchmark, split):
 
     def with_and_without():
         with_dir = build_candidates(split, n)
-        original = cand_mod.direction_compatible
-        cand_mod.direction_compatible = lambda *args, **kw: True
+        original = cand_mod.direction_mask
+        cand_mod.direction_mask = lambda *args, **kw: True
         try:
             without_dir = build_candidates(split, n)
         finally:
-            cand_mod.direction_compatible = original
+            cand_mod.direction_mask = original
         return with_dir, without_dir
 
     with_dir, without_dir = benchmark.pedantic(

@@ -11,7 +11,13 @@ Walks through every stage of the reproduction:
 5. attack the third and compare with the naive proximity baseline.
 
 Run:  python examples/quickstart.py
+
+The demo runs with the disk cache off (``REPRO_CACHE_DIR=`` empty), so
+it leaves no files behind.
 """
+
+import argparse
+import os
 
 from repro.attacks import ProximityAttack
 from repro.core import AttackConfig, DLAttack
@@ -23,6 +29,14 @@ SPLIT_LAYER = 3  # the FEOL foundry sees M1..M3
 
 
 def main() -> None:
+    argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    ).parse_args()
+    # Empty REPRO_CACHE_DIR disables every disk cache: the tiny designs'
+    # features and embeddings stay in memory.
+    os.environ["REPRO_CACHE_DIR"] = ""
+
     print("=== 1-2. generate + place & route ===")
     layouts = {}
     for spec in TINY_DESIGNS:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -90,6 +91,9 @@ def cmd_info(_args) -> int:
 def cmd_quickstart(_args) -> int:
     from repro import quick_attack_demo
 
+    # The demo's tiny designs do not belong in the shared cache: an
+    # empty REPRO_CACHE_DIR turns every disk cache off.
+    os.environ["REPRO_CACHE_DIR"] = ""
     print(quick_attack_demo())
     return 0
 

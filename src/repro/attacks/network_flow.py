@@ -22,9 +22,12 @@ near-bipartite graph), reproducing the time-out behaviour of Table 3.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
 from ..cells.timing import load_lower_bound_ff, wire_capacitance_ff
 from ..split.fragments import Fragment
+from ..split.metrics import report_extra
+from ..split.pins import PinTable
 from ..split.split import SplitLayout
 from .base import Attack
 
@@ -61,13 +64,17 @@ class NetworkFlowAttack(Attack):
         graph.add_node(_SUPER_SOURCE, demand=-demand)
         graph.add_node(_SUPER_SINK, demand=demand)
 
-        for src in sources:
+        min_cap = _min_sink_cap(split)
+        budgets = [self._fanout_budget(split, src, min_cap) for src in sources]
+        for src, budget in zip(sources, budgets):
             graph.add_edge(
                 _SUPER_SOURCE,
                 ("src", src.fragment_id),
-                capacity=self._fanout_budget(split, src),
+                capacity=budget,
                 weight=0,
             )
+        pins = PinTable(sources)
+        knn_truth = 0
         for sink in sinks:
             graph.add_edge(
                 ("snk", sink.fragment_id), _SUPER_SINK, capacity=1, weight=0
@@ -80,7 +87,9 @@ class NetworkFlowAttack(Attack):
                 capacity=1,
                 weight=_UNMATCHED_COST,
             )
-            for dist, src_id in self._nearest_sources(sink, sources):
+            truth = split.truth.get(sink.fragment_id)
+            for dist, src_id in self._nearest_sources(sink, pins):
+                knn_truth += src_id == truth
                 graph.add_edge(
                     ("src", src_id),
                     ("snk", sink.fragment_id),
@@ -94,15 +103,32 @@ class NetworkFlowAttack(Attack):
             for node, value in flow.get(("src", src.fragment_id), {}).items():
                 if value > 0 and isinstance(node, tuple) and node[0] == "snk":
                     assignment[node[1]] = src.fragment_id
+        fed = flow[_SUPER_SOURCE]
+        report_extra(
+            flow={
+                # sinks whose true source is among their k-NN edges:
+                # the attack's ceiling, whatever the capacities
+                "knn_truth_recall": knn_truth / len(sinks),
+                "saturated_sources": sum(
+                    fed[("src", src.fragment_id)] >= budget
+                    for src, budget in zip(sources, budgets)
+                ),
+                "escape_sinks": sum(
+                    fed[("snk", sink.fragment_id)] > 0 for sink in sinks
+                ),
+            }
+        )
         return assignment
 
     # -- model pieces -----------------------------------------------------
-    def _fanout_budget(self, split: SplitLayout, source: Fragment) -> int:
+    def _fanout_budget(
+        self, split: SplitLayout, source: Fragment, min_cap: float
+    ) -> int:
         """How many more sink fragments this driver can feed.
 
         Derived from the driver's max load minus the load already
         visible in the FEOL (internal sinks + fragment wire), divided
-        by the smallest sink-pin capacitance in the library.
+        by ``min_cap``, the smallest sink load (:func:`_min_sink_cap`).
         """
         driver_cell = split.design.driver_cell(source.net)
         if driver_cell is None:  # primary-input pad: generous budget
@@ -112,23 +138,18 @@ class NetworkFlowAttack(Attack):
         ]
         used = load_lower_bound_ff(visible_caps, source.total_wirelength, 0.0)
         remaining = max(0.0, driver_cell.max_load_ff - used)
-        min_cap = _min_sink_cap(split)
         budget = int(remaining / min_cap) if min_cap > 0 else 1
         return max(1, budget)
 
     def _nearest_sources(
-        self, sink: Fragment, sources: list[Fragment]
+        self, sink: Fragment, pins: PinTable
     ) -> list[tuple[int, int]]:
-        best: list[tuple[int, int]] = []
-        for src in sources:
-            d = min(
-                abs(svp.x - tvp.x) + abs(svp.y - tvp.y)
-                for svp in sink.virtual_pins
-                for tvp in src.virtual_pins
-            )
-            best.append((d, src.fragment_id))
-        best.sort()
-        return best[: self.k_nearest]
+        """The ``k_nearest`` smallest (pin distance, source id) pairs."""
+        dist, _, _ = pins.nearest(sink)
+        order = np.lexsort((pins.fragment_ids, dist))[: self.k_nearest]
+        return list(
+            zip(dist[order].tolist(), pins.fragment_ids[order].tolist())
+        )
 
 
 def _min_sink_cap(split: SplitLayout) -> float:

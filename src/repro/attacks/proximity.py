@@ -9,6 +9,9 @@ Wang et al. compare against.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..split.pins import PinTable
 from ..split.split import SplitLayout
 from .base import Attack
 
@@ -17,24 +20,15 @@ class ProximityAttack(Attack):
     name = "proximity"
 
     def select(self, split: SplitLayout) -> dict[int, int]:
-        """Pick the closest source virtual pin for every sink fragment."""
-        sources = split.source_fragments
+        """Pick the closest source virtual pin for every sink fragment:
+        the smallest (pin distance, source fragment id)."""
+        pins = PinTable(split.source_fragments)
         assignment: dict[int, int] = {}
-        if not sources:
+        if not len(pins):
             return assignment
-        source_vps = [
-            (vp.x, vp.y, frag.fragment_id)
-            for frag in sources
-            for vp in frag.virtual_pins
-        ]
         for sink in split.sink_fragments:
-            best: tuple[int, int, int] | None = None  # (dist, src_id, tiebreak)
-            for svp in sink.virtual_pins:
-                for x, y, src_id in source_vps:
-                    d = abs(svp.x - x) + abs(svp.y - y)
-                    key = (d, src_id)
-                    if best is None or key < best:
-                        best = key
-            if best is not None:
-                assignment[sink.fragment_id] = best[1]
+            dist, _, _ = pins.nearest(sink)
+            if dist.size:
+                best = np.lexsort((pins.fragment_ids, dist))[0]
+                assignment[sink.fragment_id] = int(pins.fragment_ids[best])
         return assignment

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..core.vector_features import vpp_vector_features
 from ..split.fragments import Fragment
+from ..split.pins import PinTable
 from ..split.split import VPP, SplitLayout
 from .base import Attack
 
@@ -236,10 +237,10 @@ class RandomForestAttack(Attack):
         labels: list[int] = []
         rng = np.random.default_rng(self.seed)
         for split in splits:
-            sources = split.source_fragments
+            pins = PinTable(split.source_fragments)
             for sink in split.sink_fragments:
                 truth = split.truth.get(sink.fragment_id)
-                ranked = self._nearest_sources(split, sink, sources)
+                ranked = self._nearest_sources(sink, pins)
                 for vpp, src_id in ranked[: self.negatives_per_positive]:
                     if src_id == truth:
                         continue
@@ -265,8 +266,9 @@ class RandomForestAttack(Attack):
         """All sources whose predicted probability clears the threshold,
         ranked by probability — the [9] output the paper criticises."""
         result = CandidateListResult()
+        pins = PinTable(split.source_fragments)
         for sink in split.sink_fragments:
-            scored = self._score_sources(split, sink)
+            scored = self._score_sources(split, sink, pins)
             keep = [
                 src_id
                 for prob, src_id in scored
@@ -279,21 +281,20 @@ class RandomForestAttack(Attack):
 
     def select(self, split: SplitLayout) -> dict[int, int]:
         assignment: dict[int, int] = {}
+        pins = PinTable(split.source_fragments)
         for sink in split.sink_fragments:
-            scored = self._score_sources(split, sink)
+            scored = self._score_sources(split, sink, pins)
             if scored:
                 assignment[sink.fragment_id] = scored[0][1]
         return assignment
 
     # -- helpers --------------------------------------------------------
     def _score_sources(
-        self, split: SplitLayout, sink: Fragment
+        self, split: SplitLayout, sink: Fragment, pins: PinTable
     ) -> list[tuple[float, int]]:
         if not self._fitted:
             raise RuntimeError("attack is not trained")
-        ranked = self._nearest_sources(
-            split, sink, split.source_fragments
-        )[: self.max_sources_scored]
+        ranked = self._nearest_sources(sink, pins)[: self.max_sources_scored]
         if not ranked:
             return []
         x = np.stack(
@@ -308,18 +309,17 @@ class RandomForestAttack(Attack):
 
     @staticmethod
     def _nearest_sources(
-        split: SplitLayout, sink: Fragment, sources: list[Fragment]
+        sink: Fragment, pins: PinTable
     ) -> list[tuple[VPP, int]]:
-        """All (closest-VPP, source) pairs ranked by distance."""
-        ranked: list[tuple[int, VPP, int]] = []
-        for source in sources:
-            best: tuple[int, VPP] | None = None
-            for svp in sink.virtual_pins:
-                for qvp in source.virtual_pins:
-                    d = abs(svp.x - qvp.x) + abs(svp.y - qvp.y)
-                    if best is None or d < best[0]:
-                        best = (d, VPP(svp, qvp))
-            if best is not None:
-                ranked.append((best[0], best[1], source.fragment_id))
-        ranked.sort(key=lambda item: (item[0], item[2]))
-        return [(vpp, src_id) for _d, vpp, src_id in ranked]
+        """All (closest-VPP, source) pairs ranked by (distance, source
+        id); the VPP is the first closest pin pair."""
+        dist, sink_pin, pin = pins.nearest(sink)
+        order = np.lexsort((pins.fragment_ids, dist))
+        return [
+            (VPP(sink.virtual_pins[i], pins.pins[j]), src_id)
+            for i, j, src_id in zip(
+                sink_pin[order].tolist(),
+                pin[order].tolist(),
+                pins.fragment_ids[order].tolist(),
+            )
+        ]

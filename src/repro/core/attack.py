@@ -25,7 +25,7 @@ from ..nn import (
     two_class_loss,
     two_class_probabilities,
 )
-from ..split.metrics import AttackResult, ccr
+from ..split.metrics import AttackResult, ccr, collect_extra, report_extra
 from ..split.split import SplitLayout
 from .artifacts import artifact_store, embeddings_key
 from .atomic import atomic_savez
@@ -210,15 +210,17 @@ class DLAttack:
         :func:`repro.pipeline.flow.trained_attack` shares one attack
         between every caller of the same weights.
         """
-        start = time.perf_counter()
-        assignment = self.select(split, use_disk_cache)
-        elapsed = time.perf_counter() - start
+        with collect_extra() as extra:
+            start = time.perf_counter()
+            assignment = self.select(split, use_disk_cache)
+            elapsed = time.perf_counter() - start
         return AttackResult(
             design=split.name,
             split_layer=split.split_layer,
             assignment=assignment,
             runtime_s=elapsed,
             attack_name=self.name,
+            extra=extra,
         )
 
     def select(
@@ -234,6 +236,7 @@ class DLAttack:
         dataset = SplitDataset(
             split, self.config, use_disk_cache=use_disk_cache
         )
+        report_extra(candidate_recall=dataset.candidate_recall())
         return self._select_dataset(dataset)
 
     def _select_dataset(self, dataset: SplitDataset) -> dict[int, int]:

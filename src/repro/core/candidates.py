@@ -20,12 +20,29 @@ with three criteria, all reproduced here:
 3. **distance** — of the remaining VPPs, the n closest along the
    non-preferred direction win; ties fall back to the preferred
    direction.
+
+Cost model: each pin's direction preference is reduced once per layout
+to four allowed-sign bits ``(-x, +x, -y, +y)``, and the source pins are
+flattened into one :class:`~repro.split.pins.PinTable`.  Selection then
+runs one sink at a time as array operations over that sink's pins x all
+source pins: O(sink pins x source pins) time and memory per sink, never
+a whole-layout sinks x pins matrix.  The result equals the pair-by-pair
+definition above, first-wins ties included: ``tests/core/
+test_candidates_oracle.py`` holds the scalar triple loop as the oracle.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..split.fragments import Fragment, VirtualPin
+from ..split.pins import PinTable
 from ..split.split import VPP, SplitLayout
+
+# Rows of a pin's allowed-sign bits: continuation towards -x, +x, -y, +y.
+_NEG_X, _POS_X, _NEG_Y, _POS_Y = range(4)
+# Packed selection key of a VPP that fails the direction criterion.
+_EXCLUDED = np.iinfo(np.int64).max
 
 
 def segment_side_signs(
@@ -62,6 +79,43 @@ def segment_side_signs(
     return allowed
 
 
+def _sign_row(
+    fragment: Fragment, vp: VirtualPin, split_layer: int
+) -> tuple[bool, bool, bool, bool]:
+    allowed = segment_side_signs(fragment, vp, split_layer)
+    return (-1 in allowed[0], 1 in allowed[0], -1 in allowed[1], 1 in allowed[1])
+
+
+def _sign_bits(fragments: list[Fragment], split_layer: int) -> np.ndarray:
+    """(4, pins) bool allowed-sign bits of every pin of ``fragments``,
+    in fragment then pin order (the :class:`PinTable` order)."""
+    rows = [
+        _sign_row(fragment, vp, split_layer)
+        for fragment in fragments
+        for vp in fragment.virtual_pins
+    ]
+    return np.array(rows, dtype=bool).reshape(-1, 4).T
+
+
+def _prefers(bits: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Where pin p (sign bits ``bits``) prefers the pin at offset (dx, dy)."""
+    ok_x = (dx == 0) | np.where(dx > 0, bits[_POS_X], bits[_NEG_X])
+    ok_y = (dy == 0) | np.where(dy > 0, bits[_POS_Y], bits[_NEG_Y])
+    return ok_x & ok_y
+
+
+def direction_mask(
+    sink_bits: np.ndarray,
+    source_bits: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+) -> np.ndarray:
+    """The Table 1 rule over (sink pins, source pins) offsets: keep a
+    VPP unless *both* pins reject each other.  ``dx``/``dy`` are source
+    minus sink; the bit arrays broadcast against them."""
+    return _prefers(sink_bits, dx, dy) | _prefers(source_bits, -dx, -dy)
+
+
 def prefers(
     fragment_p: Fragment,
     vp_p: VirtualPin,
@@ -69,15 +123,8 @@ def prefers(
     split_layer: int,
 ) -> bool:
     """True when pin p prefers pin q (Sec. 4.1 direction criterion)."""
-    allowed = segment_side_signs(fragment_p, vp_p, split_layer)
-    for axis in (0, 1):
-        delta = vp_q.xy[axis] - vp_p.xy[axis]
-        if delta == 0:
-            continue
-        sign = 1 if delta > 0 else -1
-        if sign not in allowed[axis]:
-            return False
-    return True
+    bits = np.array(_sign_row(fragment_p, vp_p, split_layer))
+    return bool(_prefers(bits, vp_q.x - vp_p.x, vp_q.y - vp_p.y))
 
 
 def direction_compatible(
@@ -88,9 +135,66 @@ def direction_compatible(
     split_layer: int,
 ) -> bool:
     """Keep the VPP unless *both* pins reject each other (Table 1)."""
-    return prefers(sink_frag, sink_vp, source_vp, split_layer) or prefers(
-        source_frag, source_vp, sink_vp, split_layer
+    return bool(
+        direction_mask(
+            np.array(_sign_row(sink_frag, sink_vp, split_layer)),
+            np.array(_sign_row(source_frag, source_vp, split_layer)),
+            source_vp.x - sink_vp.x,
+            source_vp.y - sink_vp.y,
+        )
     )
+
+
+class _Selector:
+    """Candidate selection against one fixed set of source fragments."""
+
+    def __init__(self, split: SplitLayout, sources: list[Fragment]):
+        self.split_layer = split.split_layer
+        self.np_axis = 1 - split.preferred_axis  # non-preferred axis index
+        self.pins = PinTable(sources)
+        self.bits = _sign_bits(self.pins.fragments, self.split_layer)
+        fp = split.design.floorplan
+        # Pins lie on the die, so every key component is in [0, base):
+        # the packed key orders VPPs exactly as the tuple
+        # (d_np, d_p, qx, qy) does.
+        self.base = max(fp.width, fp.height, 1)
+        px = self.pins.x * self.base + self.pins.y
+        self.pin_key = px[None, :]
+
+    def select(self, sink: Fragment, n: int) -> list[VPP]:
+        if not len(self.pins) or not sink.virtual_pins:
+            return []
+        pins = self.pins
+        dx, dy = pins.deltas(sink)  # (sink pins, source pins)
+        keep = direction_mask(
+            _sign_bits([sink], self.split_layer)[:, :, None],
+            self.bits[:, None, :],
+            dx,
+            dy,
+        )
+        d_np, d_p = (dy, dx) if self.np_axis == 1 else (dx, dy)
+        base = self.base
+        key = (np.abs(d_np) * base + np.abs(d_p)) * base * base + self.pin_key
+        key = np.where(keep, key, _EXCLUDED)
+        # Per source pin, then per source fragment, the smallest key.
+        # The key holds the source pin's coordinates, so a fragment's
+        # minimum names one pin; of the sink pins reaching it, argmin
+        # takes the first, as the scalar loop's strict "<" does.
+        pin_best = key.min(axis=0)
+        frag_best = np.minimum.reduceat(pin_best, pins.starts)
+        winners = np.flatnonzero(
+            (pin_best == frag_best[pins.owner]) & (pin_best != _EXCLUDED)
+        )
+        ranked = winners[
+            np.lexsort(
+                (pins.fragment_ids[pins.owner[winners]], pin_best[winners])
+            )[:n]
+        ]
+        sink_pin = key[:, ranked].argmin(axis=0)
+        return [
+            VPP(sink.virtual_pins[i], pins.pins[j])
+            for i, j in zip(sink_pin.tolist(), ranked.tolist())
+        ]
 
 
 def select_candidates(
@@ -105,38 +209,16 @@ def select_candidates(
     """
     if sources is None:
         sources = split.source_fragments
-    np_axis = 1 - split.preferred_axis  # non-preferred axis index
-
-    best_per_source: dict[int, tuple[tuple[int, int, int, int], VPP]] = {}
-    for source in sources:
-        for svp in sink.virtual_pins:
-            for qvp in source.virtual_pins:
-                if not direction_compatible(
-                    sink, svp, source, qvp, split.split_layer
-                ):
-                    continue
-                d_np = abs(qvp.xy[np_axis] - svp.xy[np_axis])
-                d_p = abs(
-                    qvp.xy[1 - np_axis] - svp.xy[1 - np_axis]
-                )
-                key = (d_np, d_p, qvp.xy[0], qvp.xy[1])
-                prev = best_per_source.get(source.fragment_id)
-                if prev is None or key < prev[0]:
-                    best_per_source[source.fragment_id] = (key, VPP(svp, qvp))
-
-    ranked = sorted(
-        best_per_source.items(), key=lambda item: (item[1][0], item[0])
-    )
-    return [vpp for _sid, (_key, vpp) in ranked[:n]]
+    return _Selector(split, sources).select(sink, n)
 
 
 def build_candidates(
     split: SplitLayout, n: int
 ) -> dict[int, list[VPP]]:
     """Candidate lists for every sink fragment of a split layout."""
-    sources = split.source_fragments
+    selector = _Selector(split, split.source_fragments)
     return {
-        sink.fragment_id: select_candidates(split, sink, n, sources)
+        sink.fragment_id: selector.select(sink, n)
         for sink in split.sink_fragments
     }
 

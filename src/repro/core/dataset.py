@@ -356,6 +356,15 @@ class SplitDataset:
         """Groups whose positive VPP survived candidate selection."""
         return [g for g in self.groups if g.target is not None]
 
+    def candidate_recall(self) -> float:
+        """Fraction of sink fragments whose true source survived
+        candidate selection (the attack's CCR ceiling, unweighted), from
+        the group targets: a warm cache hit reruns no selection."""
+        n_sinks = len(self.split.sink_fragments)
+        if not n_sinks:
+            return 1.0
+        return int((self.tensors.targets >= 0).sum()) / n_sinks
+
     def all_vector_rows(self) -> np.ndarray:
         """Valid feature rows, for normaliser fitting."""
         if not self.groups:

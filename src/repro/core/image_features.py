@@ -16,14 +16,18 @@ of binary layer-bit planes at three scales:
 Rendered as a float-ready uint8 tensor of shape
 ``(n_scales * 2m, image_size, image_size)``.
 
-Rendering is **window-local**: each fragment's FEOL nodes are indexed
-sparsely once, and both the own-fragment and other-fragment bit planes
-are materialised only inside the ``image_size * max(scale)`` window
-around the pin.  All scales are centred crops of that one window and
-the multi-scale pooling is vectorised across layers, so the per-pin
-cost is O(window + fragment nodes), independent of the die area.  The
-previous dense full-die path is kept as ``render_reference`` and the
-parity tests assert the two are bit-identical.
+Rendering is **die-clipped**: each fragment's FEOL nodes are indexed
+sparsely once, and the track-level bit planes are materialised only
+where the widest crop overlaps the die (plus a zero margin of one
+coarse pixel) -- as bool planes, own = the fragment's nodes, other =
+``occupancy > own`` (the same bits as ``clip(occupancy - own) > 0``).
+Each scale pools just its die-overlapping pixels from them with
+``reshape(...).any(...)``; every other pixel is zero.  So the per-pin
+cost is O(min(window, die) + fragment nodes): the 33 px x 4 = 132-track
+window is wider than every committed die, and on a die wider than the
+window only the window is touched.  The dense full-die renderer is kept as
+``render_reference``; ``tests/core/test_image_parity.py`` asserts the
+two are bit-identical, die edges and corners included.
 """
 
 from __future__ import annotations
@@ -44,6 +48,13 @@ class ImageExtractor:
         self.m = split.split_layer
         # occupancy[l-1, x, y] = number of nets with wiring at (l, x, y)
         self.occupancy = split.occupancy_grids()
+        # Zero margin of one pixel at the coarsest scale: a crop's edge
+        # pixels may overhang the die by up to scale - 1 tracks.
+        self._pad = max(config.image_scales)
+        pad = self._pad
+        self._occupancy_padded = np.pad(
+            self.occupancy, ((0, 0), (pad, pad), (pad, pad))
+        )
         self._cache: dict[tuple[int, int, int], np.ndarray] = {}
         # fragment_id -> (layer-1, x, y) arrays of FEOL nodes, built once
         self._frag_nodes: dict[
@@ -67,22 +78,48 @@ class ImageExtractor:
     def _render(self, fragment: Fragment, vp: VirtualPin) -> np.ndarray:
         size = self.config.image_size
         scales = self.config.image_scales
-        tracks_max = size * max(scales)
+        m = self.m
+        width, height = self.occupancy.shape[1:]
+        pad = self._pad
+        # Track region covering every scale's die-overlapping pixels:
+        # the widest crop, clipped to the zero-padded die.
+        reach = size * max(scales)
+        rx0 = max(-pad, vp.x - reach // 2)
+        ry0 = max(-pad, vp.y - reach // 2)
+        rx1 = min(width + pad, vp.x - reach // 2 + reach)
+        ry1 = min(height + pad, vp.y - reach // 2 + reach)
+        layers, xs, ys = self._fragment_index(fragment)
+        occ = self._occupancy_padded[
+            :, rx0 + pad : rx1 + pad, ry0 + pad : ry1 + pad
+        ]
+        own = np.zeros(occ.shape, dtype=bool)
+        inside = (xs >= rx0) & (xs < rx1) & (ys >= ry0) & (ys < ry1)
+        own[layers[inside], xs[inside] - rx0, ys[inside] - ry0] = True
+        # Own bits then other bits, each highest layer first (most
+        # significant), hence the reversal of the layer axis.
+        planes = np.concatenate((own[::-1], (occ > own)[::-1]))
 
-        own_win = self._own_window(fragment, vp.x, vp.y, tracks_max)
-        occ_win = _window_stack(self.occupancy, vp.x, vp.y, tracks_max)
-        other_win = (occ_win - own_win).clip(min=0)
-
-        planes: list[np.ndarray] = []
-        for scale in scales:
-            tracks = size * scale
-            off = tracks_max // 2 - tracks // 2
-            for win in (own_win, other_win):
-                crop = win[:, off : off + tracks, off : off + tracks]
-                # Own/other bits: highest layer first (most significant),
-                # hence the reversal of the layer axis.
-                planes.append(_pool_planes(crop, scale)[::-1])
-        return np.concatenate(planes).astype(np.uint8)
+        image = np.zeros((len(scales) * 2 * m, size, size), dtype=np.uint8)
+        for k, scale in enumerate(scales):
+            x0 = vp.x - size * scale // 2  # track of pixel (0, 0)
+            y0 = vp.y - size * scale // 2
+            # Pixels [p0, p1) x [q0, q1) overlap the die; their tracks
+            # overhang it by less than one pixel, into the zero padding.
+            p0, p1 = max(0, -x0 // scale), min(size, -((x0 - width) // scale))
+            q0, q1 = max(0, -y0 // scale), min(size, -((y0 - height) // scale))
+            if p0 >= p1 or q0 >= q1:
+                continue
+            crop = planes[
+                :,
+                x0 + p0 * scale - rx0 : x0 + p1 * scale - rx0,
+                y0 + q0 * scale - ry0 : y0 + q1 * scale - ry0,
+            ]
+            if scale > 1:
+                crop = crop.reshape(
+                    2 * m, p1 - p0, scale, q1 - q0, scale
+                ).any(axis=(2, 4))
+            image[2 * m * k : 2 * m * (k + 1), p0:p1, q0:q1] = crop
+        return image
 
     def _fragment_index(
         self, fragment: Fragment
@@ -104,22 +141,10 @@ class ImageExtractor:
             self._frag_nodes[fragment.fragment_id] = idx
         return idx
 
-    def _own_window(
-        self, fragment: Fragment, cx: int, cy: int, tracks: int
-    ) -> np.ndarray:
-        """(m, tracks, tracks) int16 own-fragment wiring around (cx, cy)."""
-        layers, xs, ys = self._fragment_index(fragment)
-        half = tracks // 2
-        x0, y0 = cx - half, cy - half
-        out = np.zeros((self.m, tracks, tracks), dtype=np.int16)
-        inside = (xs >= x0) & (xs < x0 + tracks) & (ys >= y0) & (ys < y0 + tracks)
-        out[layers[inside], xs[inside] - x0, ys[inside] - y0] = 1
-        return out
-
     # -- reference renderer -----------------------------------------------
     def render_reference(self, fragment: Fragment, vp: VirtualPin) -> np.ndarray:
         """The original dense full-die renderer, kept as the ground truth
-        for the window-local fast path (see the parity tests)."""
+        for the die-clipped ``_render`` (see the parity tests)."""
         size = self.config.image_size
         own = self._own_grid(fragment)
         other = (self.occupancy - own).clip(min=0)
@@ -165,24 +190,6 @@ def _window(grid: np.ndarray, cx: int, cy: int, tracks: int) -> np.ndarray:
     return out
 
 
-def _window_stack(
-    grids: np.ndarray, cx: int, cy: int, tracks: int
-) -> np.ndarray:
-    """Like :func:`_window` but crops all layer planes of a (m, W, H)
-    stack at once."""
-    half = tracks // 2
-    x0, y0 = cx - half, cy - half
-    out = np.zeros((grids.shape[0], tracks, tracks), dtype=grids.dtype)
-    gx0, gy0 = max(0, x0), max(0, y0)
-    gx1 = min(grids.shape[1], x0 + tracks)
-    gy1 = min(grids.shape[2], y0 + tracks)
-    if gx1 > gx0 and gy1 > gy0:
-        out[:, gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = grids[
-            :, gx0:gx1, gy0:gy1
-        ]
-    return out
-
-
 def _pool_max(window: np.ndarray, scale: int) -> np.ndarray:
     """Max-pool an (S*s, S*s) window to (S, S): a region's bit is set if
     any of its tracks holds wiring."""
@@ -190,14 +197,4 @@ def _pool_max(window: np.ndarray, scale: int) -> np.ndarray:
         return (window > 0).astype(np.uint8)
     size = window.shape[0] // scale
     pooled = window.reshape(size, scale, size, scale).max(axis=(1, 3))
-    return (pooled > 0).astype(np.uint8)
-
-
-def _pool_planes(windows: np.ndarray, scale: int) -> np.ndarray:
-    """Max-pool an (m, S*s, S*s) window stack to (m, S, S) in one shot."""
-    if scale == 1:
-        return (windows > 0).astype(np.uint8)
-    m = windows.shape[0]
-    size = windows.shape[1] // scale
-    pooled = windows.reshape(m, size, scale, size, scale).max(axis=(2, 4))
     return (pooled > 0).astype(np.uint8)

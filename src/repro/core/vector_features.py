@@ -27,8 +27,11 @@ seen through the training labels.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from ..cells.library import Cell
 from ..cells.timing import (
     driver_delay_ps,
     load_lower_bound_ff,
@@ -40,14 +43,46 @@ from ..split.split import VPP, SplitLayout
 N_VECTOR_FEATURES = 27
 
 
-def vpp_vector_features(
-    split: SplitLayout,
-    vpp: VPP,
-    max_layers: int = 4,
-) -> np.ndarray:
-    """The 27-entry feature vector for one candidate VPP."""
+class _FragmentTerms(NamedTuple):
+    """The per-fragment inputs of a feature row, derived once per
+    fragment (``SplitLayout.memo``) rather than once per pair."""
+
+    wirelengths: list[float]  # tracks on M1..M<max_layers>, zero-padded
+    vias: float
+    total_wirelength: int
+    sink_caps: list[float]  # its sink pins' input caps (a sink fragment)
+    internal_caps: list[float]  # its internal sinks' (a source fragment)
+    driver_cell: Cell | None
+
+
+def _terms(
+    split: SplitLayout, fragment: Fragment, max_layers: int
+) -> _FragmentTerms:
+    key = ("vector_terms", fragment.fragment_id, max_layers)
+    terms = split.memo.get(key)
+    if terms is None:
+        wirelengths = [0.0] * max_layers
+        for layer, length in fragment.wirelength_by_layer().items():
+            if layer <= max_layers:
+                wirelengths[layer - 1] = float(length)
+        caps = split.design.sink_pin_capacitance
+        terms = _FragmentTerms(
+            wirelengths=wirelengths,
+            vias=float(sum(fragment.vias_by_cut().values())),
+            total_wirelength=fragment.total_wirelength,
+            sink_caps=[caps(t) for t in fragment.sinks],
+            internal_caps=[caps(t) for t in fragment.internal_sinks],
+            driver_cell=split.design.driver_cell(fragment.net),
+        )
+        split.memo[key] = terms
+    return terms
+
+
+def _row(split: SplitLayout, vpp: VPP, max_layers: int) -> list[float]:
+    """The 27 features of one VPP, as Python floats."""
     sink = split.fragment(vpp.sink_fragment)
-    source = split.fragment(vpp.source_fragment)
+    source = _terms(split, split.fragment(vpp.source_fragment), max_layers)
+    sink_terms = _terms(split, sink, max_layers)
     fp = split.design.floorplan
 
     d_p, d_n = split.vpp_deltas(vpp)
@@ -55,47 +90,42 @@ def vpp_vector_features(
     unsigned = (abs(signed[0]), abs(signed[1]), abs(signed[0]) + abs(signed[1]))
     width, height, hp = float(fp.width), float(fp.height), float(fp.half_perimeter)
 
-    features = np.empty(N_VECTOR_FEATURES, dtype=np.float64)
-    features[0:3] = signed
-    features[3:6] = unsigned
-    features[6:9] = (signed[0] / width, signed[1] / height, signed[2] / hp)
-    features[9:12] = (unsigned[0] / width, unsigned[1] / height, unsigned[2] / hp)
-
-    cap_upper, cap_lower, delay = _electrical(split, source, sink)
-    features[12] = cap_upper
-    features[13] = cap_lower
-    features[14] = float(sink.n_sinks)
-
-    features[15 : 15 + max_layers] = _layer_wirelengths(source, max_layers)
-    features[15 + max_layers : 15 + 2 * max_layers] = _layer_wirelengths(
-        sink, max_layers
-    )
-    features[23] = float(sum(source.vias_by_cut().values()))
-    features[24] = float(sum(sink.vias_by_cut().values()))
-    features[25] = delay
-    features[26] = cap_upper - cap_lower
-    return features
+    cap_upper, cap_lower, delay = _electrical(source, sink_terms)
+    return [
+        *signed,
+        *unsigned,
+        signed[0] / width, signed[1] / height, signed[2] / hp,
+        unsigned[0] / width, unsigned[1] / height, unsigned[2] / hp,
+        cap_upper,
+        cap_lower,
+        float(sink.n_sinks),
+        *source.wirelengths,
+        *sink_terms.wirelengths,
+        source.vias,
+        sink_terms.vias,
+        delay,
+        cap_upper - cap_lower,
+    ]
 
 
-def _layer_wirelengths(fragment: Fragment, max_layers: int) -> np.ndarray:
-    out = np.zeros(max_layers)
-    for layer, length in fragment.wirelength_by_layer().items():
-        if layer <= max_layers:
-            out[layer - 1] = float(length)
-    return out
+def vpp_vector_features(
+    split: SplitLayout,
+    vpp: VPP,
+    max_layers: int = 4,
+) -> np.ndarray:
+    """The 27-entry feature vector for one candidate VPP."""
+    return np.array(_row(split, vpp, max_layers), dtype=np.float64)
 
 
 def _electrical(
-    split: SplitLayout, source: Fragment, sink: Fragment
+    source: _FragmentTerms, sink: _FragmentTerms
 ) -> tuple[float, float, float]:
     """(cap upper bound, cap lower bound, driver delay lower bound)."""
-    driver_cell = split.design.driver_cell(source.net)
-    sink_caps = [split.design.sink_pin_capacitance(t) for t in sink.sinks]
-    sink_caps += [
-        split.design.sink_pin_capacitance(t) for t in source.internal_sinks
-    ]
+    driver_cell = source.driver_cell
     lower = load_lower_bound_ff(
-        sink_caps, source.total_wirelength, sink.total_wirelength
+        sink.sink_caps + source.internal_caps,
+        source.total_wirelength,
+        sink.total_wirelength,
     )
     if driver_cell is None:  # primary input pad: use library-independent caps
         upper = max(lower, 120.0)
@@ -118,9 +148,12 @@ def group_vector_features(
     right-padded with zeros to exactly ``n`` rows."""
     features = np.zeros((n, N_VECTOR_FEATURES), dtype=np.float32)
     mask = np.zeros(n, dtype=bool)
-    for i, vpp in enumerate(vpps[:n]):
-        features[i] = vpp_vector_features(split, vpp, max_layers)
-        mask[i] = True
+    rows = [_row(split, vpp, max_layers) for vpp in vpps[:n]]
+    if rows:
+        # float64 rows, then one float32 cast: the same rounding as
+        # casting each vpp_vector_features row.
+        features[: len(rows)] = np.array(rows, dtype=np.float64)
+        mask[: len(rows)] = True
     return features, mask
 
 

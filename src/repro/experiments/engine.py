@@ -179,9 +179,10 @@ def evaluate_scenario(spec: ScenarioSpec) -> ScenarioRecord:
             )
             if timed.timed_out:
                 status, value, runtime = "timeout", None, None
+                result = None
             else:
-                value = ccr(split, timed.value.assignment)
-                runtime = timed.value.runtime_s
+                result = timed.value
+                value, runtime = ccr(split, result.assignment), result.runtime_s
         else:
             result = flow.attack(split)
             value, runtime = ccr(split, result.assignment), result.runtime_s
@@ -199,6 +200,10 @@ def evaluate_scenario(spec: ScenarioSpec) -> ScenarioRecord:
             split, use_disk_cache=not spec.cache_free_inference
         )
         value, runtime = ccr(split, result.assignment), result.runtime_s
+    if result is not None:
+        # What the attack reported about its ceiling (candidate recall,
+        # flow k-NN recall and capacity use).
+        extra.update(result.extra)
     return ScenarioRecord(
         scenario_hash=spec.scenario_hash,
         scenario=spec.to_dict(),

@@ -54,6 +54,12 @@ class Fragment:
     driver: Terminal | None = None
     sinks: list[Terminal] = field(default_factory=list)
     internal_sinks: list[Terminal] = field(default_factory=list)
+    # Split-layer segments by layer, built from ``edges`` on first use:
+    # a fragment's FEOL wiring does not change after extraction, and
+    # the direction rule reads them for every pin.
+    _segments: dict[int, list[Segment]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_sinks(self) -> int:
@@ -82,8 +88,14 @@ class Fragment:
 
     def segments_on_layer(self, layer: int) -> list[Segment]:
         """Maximal straight segments of this fragment on one layer."""
-        route = NetRoute(self.net, nodes=set(self.nodes), edges=set(self.edges))
-        return [s for s in route.segments() if s.layer == layer]
+        if layer not in self._segments:
+            route = NetRoute(
+                self.net, nodes=set(self.nodes), edges=set(self.edges)
+            )
+            self._segments[layer] = [
+                s for s in route.segments() if s.layer == layer
+            ]
+        return list(self._segments[layer])
 
     def split_layer_segments_at(self, xy: tuple[int, int], layer: int) -> list[Segment]:
         """Split-layer segments incident to a virtual pin location."""

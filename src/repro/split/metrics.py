@@ -12,20 +12,55 @@ paper uses to criticise Zhang et al. [9].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextvars
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from .split import SplitLayout
 
 
 @dataclass(frozen=True)
 class AttackResult:
-    """The outcome of any attack: per-sink-fragment source selections."""
+    """The outcome of any attack: per-sink-fragment source selections.
+
+    ``extra`` holds what the attack reported about its own ceiling
+    while selecting (see :func:`report_extra`), e.g. the DL attack's
+    candidate recall; the sweep engine copies it into the record.
+    """
 
     design: str
     split_layer: int
     assignment: dict[int, int]  # sink fragment id -> chosen source fragment id
     runtime_s: float = 0.0
     attack_name: str = "unknown"
+    extra: dict = field(default_factory=dict)
+
+
+_EXTRA: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "repro_attack_extra", default=None
+)
+
+
+@contextmanager
+def collect_extra() -> Iterator[dict]:
+    """Collect every :func:`report_extra` call of the body into one dict
+    (for the ``AttackResult`` the body's ``select`` produces)."""
+    extra: dict = {}
+    token = _EXTRA.set(extra)
+    try:
+        yield extra
+    finally:
+        _EXTRA.reset(token)
+
+
+def report_extra(**values) -> None:
+    """Report diagnostics from inside an attack's ``select``; a no-op
+    outside :func:`collect_extra`, so a bare ``select`` call keeps no
+    state anywhere (attacks are shared between threads)."""
+    extra = _EXTRA.get()
+    if extra is not None:
+        extra.update(values)
 
 
 def ccr(split: SplitLayout, assignment: dict[int, int]) -> float:

@@ -41,6 +41,10 @@ class SplitLayout:
     fragments: list[Fragment]
     truth: dict[int, int]  # sink fragment id -> source fragment id
     _by_id: dict[int, Fragment] = field(default_factory=dict)
+    # Per-fragment values that feature code derives once per layout
+    # (keyed by the deriving code's own tuples); a fragment's wiring
+    # and the design never change after the split.
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_id = {f.fragment_id: f for f in self.fragments}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.attacks import NetworkFlowAttack, ProximityAttack
+from repro.attacks.network_flow import _min_sink_cap
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
 from repro.split import ccr, split_design
@@ -93,7 +94,7 @@ class TestNetworkFlow:
             loads[src] = loads.get(src, 0) + 1
         for src_id, load in loads.items():
             budget = attack._fanout_budget(
-                split_m3, split_m3.fragment(src_id)
+                split_m3, split_m3.fragment(src_id), _min_sink_cap(split_m3)
             )
             assert load <= budget
 

@@ -18,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.attacks.network_flow import _UNMATCHED_COST, NetworkFlowAttack
 from repro.pipeline import clear_memo, get_split
+from repro.split.pins import PinTable
 
 COMMITTED = Path(__file__).resolve().parents[2] / ".repro_cache"
 
@@ -43,9 +44,10 @@ def assignment_optimum(attack, split) -> int:
     per sink."""
     sinks, sources = split.sink_fragments, split.source_fragments
     column = {src.fragment_id: i for i, src in enumerate(sources)}
+    pins = PinTable(sources)
     cost = np.full((len(sinks), len(sources) + len(sinks)), np.inf)
     for row, sink in enumerate(sinks):
-        for dist, src_id in attack._nearest_sources(sink, sources):
+        for dist, src_id in attack._nearest_sources(sink, pins):
             cost[row, column[src_id]] = dist * attack.distance_scale
         cost[row, len(sources) + row] = _UNMATCHED_COST
     rows, cols = linear_sum_assignment(cost)
@@ -61,7 +63,7 @@ def test_unit_capacity_flow_cost_equals_assignment_optimum(
     split = committed_split(design, layer)
     attack = NetworkFlowAttack()
     monkeypatch.setattr(
-        NetworkFlowAttack, "_fanout_budget", lambda self, split, src: 1
+        NetworkFlowAttack, "_fanout_budget", lambda self, split, src, cap: 1
     )
     solved = []
     min_cost_flow = nx.min_cost_flow

@@ -8,7 +8,7 @@ import pytest
 from repro.core import AttackConfig, ImageExtractor
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
-from repro.split import split_design
+from repro.split import VirtualPin, split_design
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +76,54 @@ def test_cached_image_comes_from_fast_path(layouts):
     img = extractor.image(frag, vp)
     assert np.array_equal(img, extractor.render_reference(frag, vp))
     assert extractor.image(frag, vp) is img
+
+
+def corner_pins(split):
+    """Synthetic virtual pins on the four die corners, one per fragment
+    the renderer is asked about (the pin need not be the fragment's)."""
+    fp = split.design.floorplan
+    frag = split.sink_fragments[0]
+    return [
+        (frag, VirtualPin(frag.fragment_id, x, y))
+        for x in (0, fp.width - 1)
+        for y in (0, fp.height - 1)
+    ]
+
+
+def test_die_corner_pins_bit_identical(layouts):
+    """A pin on a die corner: three quarters of every crop lie off-die."""
+    config = AttackConfig.tiny().with_(image_scales=(1, 2, 4), image_size=33)
+    for split_layer in (1, 3):
+        split = split_design(layouts[0], split_layer)
+        extractor = ImageExtractor(split, config)
+        for frag, vp in corner_pins(split):
+            assert np.array_equal(
+                extractor._render(frag, vp), extractor.render_reference(frag, vp)
+            ), f"corner ({vp.x},{vp.y}) M{split_layer}"
+
+
+@pytest.mark.parametrize(
+    "size,scales",
+    [
+        # dies wider than the scale-1 and scale-2 crops (9, 18 tracks)
+        # but narrower than the 36-track window
+        (9, (1, 2, 4)),
+        # dies (19-23 tracks) wider than the whole 10- or 14-track
+        # window: only the window is rendered
+        (5, (1, 2)),
+        (7, (2, 1)),
+    ],
+    ids=str,
+)
+def test_crops_narrower_than_die_bit_identical(layouts, size, scales):
+    config = AttackConfig.tiny().with_(image_scales=scales, image_size=size)
+    for design in layouts:
+        split = split_design(design, 3)
+        fp = split.design.floorplan
+        assert size * min(scales) < min(fp.width, fp.height)
+        extractor = ImageExtractor(split, config)
+        pins = [(f, vp) for f in split.fragments for vp in f.virtual_pins]
+        for frag, vp in pins + corner_pins(split):
+            assert np.array_equal(
+                extractor._render(frag, vp), extractor.render_reference(frag, vp)
+            ), f"pin ({vp.x},{vp.y}) size={size} scales={scales}"

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import Client
 from repro.attacks import NetworkFlowAttack, ProximityAttack
-from repro.core import AttackConfig
+from repro.core import AttackConfig, build_candidates, candidate_recall
 from repro.core.attack import DLAttack
 from repro.core.model import SplitNet
 from repro.defense import (
@@ -244,6 +244,53 @@ class TestExecution:
         assert record.status == "timeout"
         assert record.ccr is None
         assert store.get(spec).status == "timeout"
+
+
+class TestRecordExtras:
+    """Records carry the attack's self-reported ceiling."""
+
+    def test_dl_candidate_recall_from_group_targets(self, monkeypatch):
+        spec = dl_spec("tiny_seq")
+        cold = evaluate_scenario(spec)
+        split = get_split("tiny_seq", 3)
+        expected = candidate_recall(
+            split, build_candidates(split, TINY.n_candidates)
+        )
+        assert cold.extra["candidate_recall"] == expected
+        # A warm feature-cache hit reruns no candidate selection.
+        import repro.core.dataset as dataset_mod
+
+        def no_selection(*args, **kwargs):
+            raise AssertionError("candidate selection ran on a warm hit")
+
+        monkeypatch.setattr(dataset_mod, "build_candidates", no_selection)
+        warm = evaluate_scenario(spec)
+        assert warm.extra["candidate_recall"] == expected
+        assert warm.ccr == cold.ccr
+
+    def test_flow_binding_statistics(self):
+        record = evaluate_scenario(
+            ScenarioSpec(design="tiny_seq", split_layer=3, attack="flow")
+        )
+        stats = record.extra["flow"]
+        assert set(stats) == {
+            "knn_truth_recall", "saturated_sources", "escape_sinks",
+        }
+        assert 0.0 <= stats["knn_truth_recall"] <= 1.0
+        assert 0 <= stats["saturated_sources"] <= record.n_source_fragments
+        assert 0 <= stats["escape_sinks"] <= record.n_sink_fragments
+
+    def test_flow_timeout_and_proximity_report_nothing(self):
+        timed_out = evaluate_scenario(ScenarioSpec(
+            design="tiny_seq", split_layer=3, attack="flow",
+            flow_timeout_s=1e-4,
+        ))
+        assert timed_out.status == "timeout"
+        assert "flow" not in timed_out.extra
+        proximity = evaluate_scenario(
+            ScenarioSpec(design="tiny_seq", split_layer=3, attack="proximity")
+        )
+        assert proximity.extra == {}
 
 
 def oracle_table3_row(design, layer, flow_timeout_s):

@@ -22,3 +22,41 @@ class TestRunFullExperiments:
         assert callable(mod.main)
         assert mod.QUICK_DESIGNS
         assert len(mod.FIGURE5_DESIGNS) >= 4
+
+
+class TestQuickstart:
+    """The documented demo leaves no files behind, ``--help`` included."""
+
+    def run(self, args, cwd):
+        import os
+        import subprocess
+
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("REPRO_CACHE_DIR", None)  # the default: .repro_cache in cwd
+        return subprocess.run(
+            [sys.executable, *args], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_example_help_exits_without_running(self, tmp_path):
+        import time
+
+        started = time.perf_counter()
+        done = self.run([str(ROOT / "examples" / "quickstart.py"), "--help"], tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage:")
+        assert "===" not in done.stdout  # no demo stage ran
+        assert time.perf_counter() - started < 30
+        assert list(tmp_path.iterdir()) == []
+
+    def test_example_demo_writes_no_cache(self, tmp_path):
+        done = self.run([str(ROOT / "examples" / "quickstart.py")], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "DL attack" in done.stdout
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_quickstart_writes_no_cache(self, tmp_path):
+        done = self.run(["-m", "repro", "quickstart"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "DL CCR" in done.stdout
+        assert list(tmp_path.iterdir()) == []
