@@ -220,13 +220,11 @@ class RandomForestAttack(Attack):
         n_trees: int = 20,
         max_depth: int = 10,
         negatives_per_positive: int = 20,
-        list_threshold: float = 0.5,
         max_sources_scored: int = 64,
         seed: int = 0,
     ):
         self.forest = RandomForest(n_trees=n_trees, max_depth=max_depth, seed=seed)
         self.negatives_per_positive = negatives_per_positive
-        self.list_threshold = list_threshold
         self.max_sources_scored = max_sources_scored
         self.seed = seed
         self._fitted = False
@@ -262,8 +260,10 @@ class RandomForestAttack(Attack):
         return self
 
     # -- inference -----------------------------------------------------
-    def candidate_lists(self, split: SplitLayout) -> CandidateListResult:
-        """All sources whose predicted probability clears the threshold,
+    def candidate_lists(
+        self, split: SplitLayout, threshold: float
+    ) -> CandidateListResult:
+        """All sources whose predicted probability clears ``threshold``,
         ranked by probability — the [9] output the paper criticises."""
         result = CandidateListResult()
         pins = PinTable(split.source_fragments)
@@ -272,7 +272,7 @@ class RandomForestAttack(Attack):
             keep = [
                 src_id
                 for prob, src_id in scored
-                if prob >= self.list_threshold
+                if prob >= threshold
             ]
             if not keep and scored:
                 keep = [scored[0][1]]  # never return an empty list

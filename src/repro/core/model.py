@@ -279,7 +279,7 @@ class SplitNet(Module):
         grad_emb = np.concatenate(
             [grad_src.reshape(-1, width), grad_sink], axis=0
         )
-        self.tower.backward(grad_emb)
+        self._tower_backward(grad_emb)
 
     def backward_to_embeddings(
         self, grad_scores: np.ndarray
@@ -321,7 +321,22 @@ class SplitNet(Module):
         grad_emb = np.zeros(emb_shape, dtype=grad_src.dtype)
         np.add.at(grad_emb, src_gather.reshape(-1), grad_src.reshape(-1, width))
         np.add.at(grad_emb, sink_gather, grad_sink)
-        self.tower.backward(grad_emb)
+        self._tower_backward(grad_emb)
+
+    def _tower_backward(self, grad_emb: np.ndarray) -> None:
+        """Back-propagate the tower to its parameters.
+
+        The first conv's input gradient is d loss / d images, which no
+        parameter needs, so training never computes it
+        (``Conv2D.backward(..., input_grad=False)``).
+        ``self.tower.backward`` still returns it, for callers that want
+        it.
+        """
+        first, *rest = self.tower.modules
+        grad = grad_emb
+        for module in reversed(rest):
+            grad = module.backward(grad)
+        first.backward(grad, input_grad=False)
 
     def layer_summary(self) -> list[str]:
         """Human-readable architecture summary (compare with Table 2)."""

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 from ..attacks.network_flow import NetworkFlowAttack
 from ..attacks.proximity import ProximityAttack
-from ..attacks.random_forest import RandomForestAttack
 from ..core.artifacts import (
     artifact_store,
     feature_config_fingerprint,
@@ -56,6 +55,7 @@ from ..pipeline.flow import (
     get_defended_layout,
     get_defended_split,
     trained_attack,
+    trained_random_forest,
 )
 from ..pipeline.parallel import Executor, sweep_executor
 from ..split.metrics import candidate_list_recall, ccr
@@ -152,17 +152,14 @@ def evaluate_scenario(spec: ScenarioSpec) -> ScenarioRecord:
     elif spec.attack == "rf":
         # [9]-style random forest: single-pick CCR plus the
         # candidate-list metrics the paper's introduction argues about.
-        rf = RandomForestAttack(list_threshold=spec.rf_list_threshold)
-        train_splits = [
-            get_defended_split(name, spec.split_layer)
-            for name in spec.train_names
-        ]
-        started = time.perf_counter()
-        rf.train(train_splits)
-        train_seconds = time.perf_counter() - started
+        # One fit serves every threshold; a memo hit records no
+        # training time, as a loaded DL attack does.
+        rf, train_seconds = trained_random_forest(
+            spec.split_layer, spec.train_names
+        )
         result = rf.attack(split)
         value, runtime = ccr(split, result.assignment), result.runtime_s
-        lists = rf.candidate_lists(split)
+        lists = rf.candidate_lists(split, spec.rf_list_threshold)
         extra["rf"] = {
             "list_threshold": spec.rf_list_threshold,
             "list_recall": candidate_list_recall(split, lists.lists),

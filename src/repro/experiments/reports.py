@@ -155,7 +155,8 @@ def candidate_lists_report(records: list[ScenarioRecord]):
         if record.train_seconds is not None:
             forest_seconds.append(record.train_seconds)
     if forest_seconds:
-        # Each rf scenario trains its own forest: report one training.
+        # One forest serves a process's rf scenarios; only the record
+        # that trained it carries a time (more with several workers).
         report.rf_train_seconds = sum(forest_seconds) / len(forest_seconds)
     return report
 

@@ -11,7 +11,9 @@ the padded image exactly, so the gather is a plain ``reshape`` +
 ``transpose`` — no strided window view, no padding copy when the size
 divides evenly, and the backward scatter-add collapses to one reshape
 because no two patches touch the same pixel.  Both paths are bit-exact
-with each other (see ``tests/nn/test_conv_utils.py``).
+with each other (see ``tests/nn/test_conv_utils.py``).  That reshape
+copies channels-last and returns an NCHW view, so the layer below gets
+a gradient whose ``(rows, C)`` matrix is a free reshape.
 
 The ``stride < kernel`` case (two thirds of the Table 2 tower) runs the
 conv matmul over blocks of whole images, sized by
@@ -23,11 +25,15 @@ full ``kernel**2``-times-larger cols copy.  Each block is gathered
 contiguous floats instead of ``k``.  The gemm takes ``colsT.T`` — the
 same logical (rows, C*k*k) matrix, handed to BLAS transposed — and the
 weight gradient is ``colsT @ g``.  The input gradient keeps the
-row-major ``g @ W.T`` and :func:`_col2im_general` fold: a K-major fold
-needs a transposing copy of the (rows, C*k*k) gradient, which costs
-more than it saves at the benchmark config's sizes.
+row-major ``g @ W.T`` (a K-major fold needs a transposing copy of that
+gradient, which costs more than it saves at the benchmark config's
+sizes), and :func:`fold_nhwc` scatter-adds it into a channels-last
+buffer, returned as an NCHW view, whose inner axis is contiguous where
+the NCHW fold :func:`_col2im_general` (the test oracle) strides
+``C*k*k`` floats.  :func:`conv_backward_blocks` with
+``input_grad=False`` runs neither that gemm nor the fold.
 
-Two kinds of equality hold, and they rest on different grounds:
+Three kinds of equality hold, and they rest on different grounds:
 
 * **Blocked vs reference mode: structural, on any BLAS.**  The
   ``"reference"`` mode (the test oracle) materialises the full K-major
@@ -58,6 +64,15 @@ Two kinds of equality hold, and they rest on different grounds:
   gradient copies a one-image ``g`` (an F-ordered view) contiguous,
   without which it differs on AVX-512.  The form ``(W @ g.T).T`` for
   the input gradient differs under Haswell, and is not used.
+* **Channels-last vs NCHW input-gradient fold: structural.**  Each
+  pixel receives the same float adds in the same ``(ki, kj)`` order,
+  and for a batch of two or more images every gemm operand and bias
+  sum sees the same values in the same layout as before
+  (``tests/nn/test_train_backward_oracle.py``).  A one-image batch
+  used to pass an F-ordered ``(rows, C)`` view to ``g.sum(axis=0)``,
+  which sums in another order, so its conv bias gradients now differ
+  in the last bits.  Training never builds a one-image tower batch (a
+  labelled group renders its sink and a true source).
 
 Layout convention is NCHW throughout.
 """
@@ -93,12 +108,7 @@ def _im2col_general(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Overlapping-window im2col via a strided view (any stride)."""
     n, c, h, w = x.shape
-    pad_h = same_padding(h, kernel, stride)
-    pad_w = same_padding(w, kernel, stride)
-    xp = np.pad(
-        x, ((0, 0), (0, 0), pad_h, pad_w), mode="constant", constant_values=0.0
-    )
-    hp, wp = xp.shape[2], xp.shape[3]
+    xp, (_, _, hp, wp) = pad_input(x, kernel, stride)
     out_h = conv_output_size(h, kernel, stride)
     out_w = conv_output_size(w, kernel, stride)
 
@@ -122,17 +132,8 @@ def _im2col_nonoverlap(
     """stride == kernel: patches tile the padded image, so the window
     gather is a pure reshape — and when the size divides evenly (the
     hot 99 -> 33 and 33 -> 11 stages) the padding copy is skipped too."""
-    n, c, h, w = x.shape
-    pad_h = same_padding(h, kernel, kernel)
-    pad_w = same_padding(w, kernel, kernel)
-    if pad_h == (0, 0) and pad_w == (0, 0):
-        xp = x
-    else:
-        xp = np.pad(
-            x, ((0, 0), (0, 0), pad_h, pad_w),
-            mode="constant", constant_values=0.0,
-        )
-    hp, wp = xp.shape[2], xp.shape[3]
+    n, c = x.shape[0], x.shape[1]
+    xp, (_, _, hp, wp) = pad_input(x, kernel, kernel)
     out_h = hp // kernel
     out_w = wp // kernel
     cols = (
@@ -157,6 +158,32 @@ def im2col(
     return _im2col_general(x, kernel, stride)
 
 
+def fold_nhwc(
+    cols: np.ndarray,
+    out: np.ndarray,
+    out_h: int,
+    out_w: int,
+    kernel: int,
+    stride: int,
+) -> None:
+    """Scatter-add patch columns into a channels-last ``out`` (N, Hp, Wp, C).
+
+    The same ``(ki, kj)`` slice-adds as :func:`_col2im_general`, so
+    every pixel receives the same float adds in the same order; only
+    the destination layout differs, and its inner axis (channels) is
+    contiguous where the NCHW fold's is a ``C*k*k``-float stride.
+    """
+    n, _, _, c = out.shape
+    patches = cols.reshape(n, out_h, out_w, c, kernel, kernel)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            out[
+                :,
+                ki : ki + out_h * stride : stride,
+                kj : kj + out_w * stride : stride,
+            ] += patches[..., ki, kj]
+
+
 def _col2im_general(
     cols: np.ndarray,
     padded_shape: tuple[int, ...],
@@ -165,6 +192,7 @@ def _col2im_general(
     kernel: int,
     stride: int,
 ) -> np.ndarray:
+    """NCHW scatter-add fold: the test oracle of :func:`fold_nhwc`."""
     n, c, hp, wp = padded_shape
     grad_padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
     patches = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(
@@ -190,12 +218,15 @@ def _col2im_nonoverlap(
     kernel: int,
 ) -> np.ndarray:
     """stride == kernel: every padded pixel receives exactly one patch
-    value, so the k*k scatter-add loop collapses to one reshape."""
+    value, so the k*k scatter-add loop collapses to one reshape.  The
+    copy is channels-last, returned as an NCHW view, like
+    :func:`fold_nhwc`'s."""
     n, c, hp, wp = padded_shape
     return (
         cols.reshape(n, out_h, out_w, c, kernel, kernel)
-        .transpose(0, 3, 1, 4, 2, 5)
-        .reshape(n, c, hp, wp)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(n, hp, wp, c)
+        .transpose(0, 3, 1, 2)
     )
 
 
@@ -204,18 +235,18 @@ def pad_input(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """SAME-pad ``x`` (N, C, H, W); returns ``(xp, padded_shape)``.
 
-    No copy is made when the padding is zero on every side.
+    No copy is made when the padding is zero on every side.  Otherwise
+    the result is a C-contiguous zero array with ``x`` copied into its
+    interior: the values and layout of ``np.pad(..., mode="constant")``
+    without its per-side fill passes.
     """
     n, c, h, w = x.shape
-    pad_h = same_padding(h, kernel, stride)
-    pad_w = same_padding(w, kernel, stride)
-    if pad_h == (0, 0) and pad_w == (0, 0):
-        xp = x
-    else:
-        xp = np.pad(
-            x, ((0, 0), (0, 0), pad_h, pad_w),
-            mode="constant", constant_values=0.0,
-        )
+    top, bottom = same_padding(h, kernel, stride)
+    left, right = same_padding(w, kernel, stride)
+    if top == bottom == left == right == 0:
+        return x, x.shape
+    xp = np.zeros((n, c, top + h + bottom, left + w + right), dtype=x.dtype)
+    xp[:, :, top : top + h, left : left + w] = x
     return xp, xp.shape
 
 
@@ -280,17 +311,23 @@ def conv_backward_blocks(
     out_w: int,
     kernel: int,
     stride: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    input_grad: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Backward over the same block partition as the forward.
 
     Returns ``(weight_grad, bias_grad, grad_padded)``; per-block
     partial sums accumulate in block order, so the reference and
-    blocked modes produce identical bits here too.
+    blocked modes produce identical bits here too.  ``grad_padded`` is
+    an NCHW view of a channels-last buffer that each block's
+    ``g_b @ W.T`` is folded into (:func:`fold_nhwc`), or None when
+    ``input_grad`` is false and neither the gemm nor the fold runs.
     """
     _, c, hp, wp = padded_shape
     wg = np.zeros_like(weight)
     bg = np.zeros(weight.shape[1], dtype=weight.dtype)
-    grad_padded = np.zeros((n_images, c, hp, wp), dtype=g2d.dtype)
+    grad_nhwc = (
+        np.zeros((n_images, hp, wp, c), dtype=g2d.dtype) if input_grad else None
+    )
     for a in range(0, n_images, ipb):
         b = min(a + ipb, n_images)
         g_b = g2d[a * rows_per_image : b * rows_per_image]
@@ -298,10 +335,13 @@ def conv_backward_blocks(
         # weight gradient is not bitwise the row-major one on AVX-512.
         wg += get_block(a, b) @ np.ascontiguousarray(g_b)
         bg += g_b.sum(axis=0)
-        grad_padded[a:b] = _col2im_general(
-            g_b @ weight.T, (b - a, c, hp, wp), out_h, out_w, kernel, stride
-        )
-    return wg, bg, grad_padded
+        if grad_nhwc is not None:
+            fold_nhwc(
+                g_b @ weight.T, grad_nhwc[a:b], out_h, out_w, kernel, stride
+            )
+    if grad_nhwc is None:
+        return wg, bg, None
+    return wg, bg, grad_nhwc.transpose(0, 3, 1, 2)
 
 
 def unpad_gradient(
@@ -332,9 +372,10 @@ def col2im(
             cols, padded_shape, out_h, out_w, kernel
         )
     else:
-        grad_padded = _col2im_general(
-            cols, padded_shape, out_h, out_w, kernel, stride
-        )
+        n, c, hp, wp = padded_shape
+        grad_nhwc = np.zeros((n, hp, wp, c), dtype=cols.dtype)
+        fold_nhwc(cols, grad_nhwc, out_h, out_w, kernel, stride)
+        grad_padded = grad_nhwc.transpose(0, 3, 1, 2)
     pad_h = same_padding(h, kernel, stride)
     pad_w = same_padding(w, kernel, stride)
     return grad_padded[:, :, pad_h[0] : pad_h[0] + h, pad_w[0] : pad_w[0] + w]

@@ -92,11 +92,21 @@ class Dense(Module):
 class LeakyReLU(Module):
     """``y = max(alpha * x, x)`` with the paper's alpha = 0.01.
 
-    Training keeps the ``x > 0`` mask for ``backward``.  Eval mode
-    stores nothing and takes ``np.maximum(x, alpha * x)``, which for
-    0 < alpha < 1 is bitwise equal to the masked ``np.where`` form on
-    every float32 (signed zeros, NaN, infinities and denormals
-    included) at a fraction of its cost.
+    Both modes take ``np.maximum(x, alpha * x)``, which for
+    0 < alpha < 1 is bitwise equal to the masked
+    ``np.where(x > 0, x, alpha * x)`` at a fraction of its cost.  Eval
+    mode stores nothing; training also keeps the ``x > 0`` mask.
+
+    ``backward`` multiplies the gradient by a slope of 1 or alpha read
+    off the mask, ``np.maximum(mask, alpha)``, which equals
+    ``np.where(mask, grad, alpha * grad)``: ``grad * 1`` is ``grad``.
+
+    Both equalities hold bit for bit on every value that arithmetic can
+    produce (signed zeros, quiet NaNs, infinities, denormals).  Only
+    signalling NaNs differ: ``np.maximum`` passes one through where
+    ``alpha * x`` quiets it, and the slope multiply quiets one that
+    ``np.where`` passes through
+    (``tests/nn/test_train_backward_oracle.py``).
     """
 
     def __init__(self, alpha: float = 0.01):
@@ -107,19 +117,16 @@ class LeakyReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training:
-            self._mask = None
-            out = self.alpha * x
-            return np.maximum(x, out, out=out)
-        self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
+        self._mask = x > 0 if self.training else None
+        out = self.alpha * x
+        return np.maximum(x, out, out=out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        out = np.where(self._mask, grad, self.alpha * grad)
+        slope = np.maximum(self._mask, self.alpha, dtype=grad.dtype)
         self._mask = None
-        return out
+        return np.multiply(grad, slope, out=slope)
 
 
 class Conv2D(Module):
@@ -135,7 +142,9 @@ class Conv2D(Module):
     and exists only as the test oracle.
 
     In eval mode ``forward`` keeps no activations and ``backward``
-    raises.
+    raises.  ``backward`` returns its input gradient as an NCHW view of
+    channels-last memory, so the next layer's ``(rows, C)`` gradient
+    needs no copy.
     """
 
     def __init__(
@@ -220,7 +229,17 @@ class Conv2D(Module):
         self._cache = cache if self.training else None
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate the weight and bias gradients and return the input
+        gradient.
+
+        With ``input_grad=False`` (a layer whose input is data, not
+        activations: the conv tower's first layer) d loss / d input is
+        never read, so its ``g @ W.T`` gemm and fold are skipped and
+        None is returned; the parameter gradients are the same bits.
+        """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         kind, store, padded_shape, orig_hw = self._cache
@@ -230,6 +249,8 @@ class Conv2D(Module):
             cols = store
             self.weight.grad += cols.T @ g2d
             self.bias.grad += g2d.sum(axis=0)
+            if not input_grad:
+                return None
             grad_cols = g2d @ self.weight.value.T
             return col2im(grad_cols, padded_shape, orig_hw, self.kernel, self.stride)
         h, w = orig_hw
@@ -242,10 +263,12 @@ class Conv2D(Module):
             self._get_block(store, out_h, out_w),
             padded_shape[0], out_h * out_w, ipb,
             self.weight.value, g2d, padded_shape,
-            out_h, out_w, self.kernel, self.stride,
+            out_h, out_w, self.kernel, self.stride, input_grad,
         )
         self.weight.grad += wg
         self.bias.grad += bg
+        if grad_padded is None:
+            return None
         return unpad_gradient(grad_padded, orig_hw, self.kernel, self.stride)
 
 

@@ -21,7 +21,9 @@ parameters or the ``REPRO_WORKERS`` environment variable.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
+from typing import Any
 
 from ..core.artifacts import artifact_store, layout_key, weights_key
 from ..core.attack import DLAttack
@@ -49,8 +51,14 @@ _split_memo: dict[tuple[str, int], SplitLayout] = {}
 # ``(st_mtime_ns, st_size, st_ino)`` of the weights file it was loaded
 # from, or None when trained with the disk cache disabled.  One entry
 # per key bounds the memo: a cache directory copied afresh (new inodes)
-# replaces the entry instead of adding one.
-_attack_memo: dict[str, tuple[tuple[int, int, int] | None, DLAttack]] = {}
+# replaces the entry instead of adding one.  Fitted random forests,
+# which have no weights file, sit here too under an ``("rf", layer,
+# corpus)`` key, tagged None (:func:`trained_random_forest`); the value
+# is typed ``Any`` because pipeline may not import attacks at module
+# level, not even for a type.
+_attack_memo: dict[
+    str | tuple, tuple[tuple[int, int, int] | None, DLAttack | Any]
+] = {}
 
 
 def clear_memo() -> None:
@@ -209,3 +217,36 @@ def trained_attack(
     if store.root is None:
         _attack_memo[key] = (None, attack)
     return attack
+
+
+def trained_random_forest(
+    split_layer: int, train_names: tuple[str, ...] | None = None
+) -> tuple[Any, float | None]:
+    """Train the [9]-style random forest for one split layer, once per
+    process.
+
+    Returns ``(attack, train_seconds)``: a fitted
+    :class:`~repro.attacks.random_forest.RandomForestAttack`, and the
+    seconds its fit took, or None when it came from the memo.  The
+    forest keeps its default parameters, so training depends only on
+    the split layer and the corpus, and every rf scenario of a grid
+    shares one fit; the candidate-list threshold is a per-call argument
+    of :meth:`RandomForestAttack.candidate_lists`.  The returned attack
+    is shared: do not retrain it.
+    """
+    # Imported here: the package layering keeps attacks out of
+    # pipeline's module-level imports.
+    from ..attacks.random_forest import RandomForestAttack
+
+    if train_names is None:
+        train_names = default_train_names()
+    key = ("rf", split_layer, tuple(train_names))
+    _, memo = _attack_memo.get(key, (None, None))
+    if memo is not None:
+        return memo, None
+    attack = RandomForestAttack()
+    started = time.perf_counter()
+    attack.train([get_split(n, split_layer) for n in train_names])
+    train_seconds = time.perf_counter() - started
+    _attack_memo[key] = (None, attack)
+    return attack, train_seconds

@@ -122,7 +122,7 @@ class TestRandomForestAttack:
         """The [9] trade-off: bigger lists, higher recall than a single
         pick — but 'practically impossible to retrieve all connections'."""
         test = corpus[2]
-        lists = attack.candidate_lists(test)
+        lists = attack.candidate_lists(test, 0.5)
         assert set(lists.lists) == {
             f.fragment_id for f in test.sink_fragments
         }
@@ -132,11 +132,8 @@ class TestRandomForestAttack:
 
     def test_lower_threshold_bigger_lists(self, corpus, attack):
         test = corpus[2]
-        attack.list_threshold = 0.5
-        tight = attack.candidate_lists(test).mean_size()
-        attack.list_threshold = 0.05
-        loose = attack.candidate_lists(test).mean_size()
-        attack.list_threshold = 0.5
+        tight = attack.candidate_lists(test, 0.5).mean_size()
+        loose = attack.candidate_lists(test, 0.05).mean_size()
         assert loose >= tight
 
     def test_attack_interface(self, corpus, attack):

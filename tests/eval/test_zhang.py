@@ -39,11 +39,11 @@ def oracle_candidate_lists(
     the DL attack's single pick."""
     report = ZhangReport(split_layer=split_layer)
     dl = trained_attack(split_layer, config, train_names)
-    rf = RandomForestAttack(list_threshold=list_threshold)
+    rf = RandomForestAttack()
     rf.train([get_split(n, split_layer) for n in train_names])
     for name in designs:
         split = get_split(name, split_layer)
-        lists = rf.candidate_lists(split)
+        lists = rf.candidate_lists(split, list_threshold)
         report.rows.append(
             ZhangRow(
                 design=name,
@@ -113,12 +113,17 @@ class TestEngineMatchesOracle:
         engine = run_report(
             designs=["c432"],
             split_layer=3,
-            thresholds=(0.2,),
+            thresholds=(0.2, 0.5),
             config=TINY,
             train_names=train_names,
         )
-        oracle = oracle_candidate_lists(
-            ["c432"], 3, TINY, train_names, list_threshold=0.2
-        )
-        assert engine.split_layer == oracle.split_layer == 3
-        assert engine.rows == oracle.rows
+        # The engine fits one forest for both thresholds; the oracle
+        # fits a fresh one per threshold.
+        oracles = [
+            oracle_candidate_lists(
+                ["c432"], 3, TINY, train_names, list_threshold=threshold
+            )
+            for threshold in (0.2, 0.5)
+        ]
+        assert engine.split_layer == oracles[0].split_layer == 3
+        assert engine.rows == oracles[0].rows + oracles[1].rows
