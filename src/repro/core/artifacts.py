@@ -145,16 +145,27 @@ def feature_config_fingerprint(config: AttackConfig) -> str:
     )
 
 
-def layout_fingerprint(design: Design) -> str:
-    """Content hash of the serialised layout, memoised on the design."""
-    cached = getattr(design, "_repro_def_sha", None)
-    if cached is None:
-        cached = artifact_key(write_def(design).encode(), digits=64)
-        try:
-            design._repro_def_sha = cached
-        except AttributeError:  # __slots__ or frozen: recompute next time
-            pass
-    return cached
+def layout_fingerprint(design: Design, def_text: str | None = None) -> str:
+    """Content hash of the serialised layout, memoised on the design.
+
+    ``def_text`` is the design's DEF text where the caller holds it (the
+    layout store has just read or written it): the hash is then of that
+    text and the design is not serialised again.  A file that parses to
+    the same design but is not written as :func:`write_def` writes it
+    keys its own artifacts, so it can miss the cache but never hit one
+    built from other text.
+    """
+    if def_text is None:
+        cached = getattr(design, "_repro_def_sha", None)
+        if cached is not None:
+            return cached
+        def_text = write_def(design)
+    digest = artifact_key(def_text.encode(), digits=64)
+    try:
+        design._repro_def_sha = digest
+    except AttributeError:  # __slots__ or frozen: recompute next time
+        pass
+    return digest
 
 
 def features_key(split: SplitLayout, config: AttackConfig) -> str:
@@ -168,9 +179,8 @@ def features_key(split: SplitLayout, config: AttackConfig) -> str:
     return artifact_key(payload, digits=24)
 
 
-def embeddings_key(features: str, state: dict[str, np.ndarray]) -> str:
-    """Key of the conv-tower embeddings of one feature set's unique
-    images under one parameter state.
+def weights_digest(state: dict[str, np.ndarray]) -> str:
+    """Hash of one parameter state.
 
     Each parameter contributes its name, shape and dtype as well as its
     bytes: raw bytes alone would let two distinct states (same bytes,
@@ -180,7 +190,14 @@ def embeddings_key(features: str, state: dict[str, np.ndarray]) -> str:
     for name in sorted(state):
         arr = np.ascontiguousarray(state[name])
         parts += [name.encode(), (arr.shape, arr.dtype.str), arr.tobytes()]
-    return f"emb_{features}_{artifact_key(*parts)}"
+    return artifact_key(*parts)
+
+
+def embeddings_key(features: str, weights: str) -> str:
+    """Key of the conv-tower embeddings of one feature set's unique
+    images under the parameter state whose :func:`weights_digest` is
+    ``weights``."""
+    return f"emb_{features}_{weights}"
 
 
 # -- the store ------------------------------------------------------------

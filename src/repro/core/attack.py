@@ -27,7 +27,7 @@ from ..nn import (
 )
 from ..split.metrics import AttackResult, ccr, collect_extra, report_extra
 from ..split.split import SplitLayout
-from .artifacts import artifact_store, embeddings_key
+from .artifacts import artifact_store, embeddings_key, weights_digest
 from .atomic import atomic_savez
 from .config import AttackConfig
 from .dataset import Batch, SplitDataset, make_batch
@@ -61,6 +61,8 @@ class DLAttack:
         self.model = SplitNet(self.config, split_layer)
         self.normalizer = FeatureNormalizer()
         self.log = TrainLog()
+        # weights_digest of the model, once share() has frozen it.
+        self._shared_digest: str | None = None
 
     # -- training -------------------------------------------------------
     def train(
@@ -70,6 +72,7 @@ class DLAttack:
         verbose: bool = False,
     ) -> TrainLog:
         started = time.perf_counter()
+        self._shared_digest = None  # the weights are about to change
         for split in train_splits:
             if split.split_layer != self.split_layer:
                 raise ValueError(
@@ -87,9 +90,7 @@ class DLAttack:
         work: list[tuple[SplitDataset, int]] = []
         subsample_rng = np.random.default_rng(self.config.seed)
         for dataset in datasets:
-            indices = [
-                i for i, g in enumerate(dataset.groups) if g.target is not None
-            ]
+            indices = np.flatnonzero(dataset.tensors.targets >= 0).tolist()
             indices = _subsample_indices(
                 indices, self.config.max_train_groups_per_design, subsample_rng
             )
@@ -263,7 +264,8 @@ class DLAttack:
                 scores = self.model(
                     batch.vec, batch.src_images, batch.sink_images
                 )
-                self._assign_choices(groups, batch.mask, scores, assignment)
+                idx = np.arange(start, start + len(groups))
+                self._assign_choices(dataset, idx, scores, assignment)
             return assignment
         finally:
             if was_training:
@@ -287,18 +289,16 @@ class DLAttack:
         emb_table = self._embedding_table(dataset)
         assignment: dict[int, int] = {}
         batch_size = self.config.batch_groups
-        for start in range(0, len(dataset.groups), batch_size):
-            groups = dataset.groups[start : start + batch_size]
-            idx = np.array([g.index for g in groups], dtype=np.intp)
+        n_groups = len(dataset.groups)
+        for start in range(0, n_groups, batch_size):
+            idx = np.arange(start, min(start + batch_size, n_groups))
             vec = self.normalizer.transform(tensors.vec[idx])
             scores = self.model.forward_from_embeddings(
                 vec,
                 emb_table[tensors.src_index[idx]],
                 emb_table[tensors.sink_index[idx]],
             )
-            self._assign_choices(
-                groups, tensors.mask[idx], scores, assignment
-            )
+            self._assign_choices(dataset, idx, scores, assignment)
         return assignment
 
     def _embedding_table(self, dataset: SplitDataset) -> np.ndarray:
@@ -326,24 +326,29 @@ class DLAttack:
         store = artifact_store(dataset.use_disk_cache)
         if store.root is None:
             return build()  # skip hashing the weights for no file
-        key = embeddings_key(dataset.cache_key, self.model.state_dict())
+        digest = self._shared_digest or weights_digest(self.model.state_dict())
+        key = embeddings_key(dataset.cache_key, digest)
         return store.fetch(
             "embeddings", key, load, build, lambda emb: {"emb": emb}
         )
 
     def _assign_choices(
         self,
-        groups: list,
-        mask: np.ndarray,
+        dataset: SplitDataset,
+        idx: np.ndarray,
         scores: np.ndarray,
         assignment: dict[int, int],
     ) -> None:
+        """Map each sink of groups ``idx`` to the source of its
+        best-scoring valid candidate, in group order."""
+        tensors = dataset.tensors
         probs = self._connection_scores(scores)
-        probs = np.where(mask, probs, -np.inf)
+        probs = np.where(tensors.mask[idx], probs, -np.inf)
         choices = probs.argmax(axis=1)
-        for group, choice in zip(groups, choices):
-            vpp = group.vpps[int(choice)]
-            assignment[group.sink_fragment_id] = vpp.source_fragment
+        assignment.update(zip(
+            tensors.group_sink[idx].tolist(),
+            tensors.vpp_source[idx, choices, 0].tolist(),
+        ))
 
     def _connection_scores(self, scores: np.ndarray) -> np.ndarray:
         if self.config.loss == "two_class":
@@ -367,7 +372,17 @@ class DLAttack:
         # Atomic: executor workers may race training the same config.
         atomic_savez(Path(path), self.state_arrays())
 
+    def share(self) -> None:
+        """Make this the read-only attack that
+        :func:`repro.pipeline.flow.trained_attack` hands out: eval mode,
+        and the weights hashed once for every embedding key to come,
+        instead of on every ``select``.  Its weights must not change
+        after this (``train`` and ``load`` drop the hash)."""
+        self.model.eval()
+        self._shared_digest = weights_digest(self.model.state_dict())
+
     def load(self, path) -> None:
+        self._shared_digest = None
         with np.load(path) as data:
             layer = int(data["__split_layer"][0])
             if layer != self.split_layer:

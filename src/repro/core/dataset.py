@@ -6,6 +6,11 @@ Groups carry raw vector features; normalisation happens at batch
 assembly so one normaliser (fitted on the training corpus) serves all
 designs.
 
+Candidates are held only as the int64 arrays of :class:`FeatureTensors`
+(each slot's two virtual pins as (fragment id, x, y)), on the cold and
+the warm path alike, so a warm load builds no per-candidate Python
+objects; :attr:`SampleGroup.vpps` builds a group's VPP list on request.
+
 Feature tensors are **precomputed once** at :class:`SplitDataset`
 build: the raw vector features are stacked into one ``(G, n, F)``
 array, and every distinct virtual-pin image is rendered exactly once
@@ -19,8 +24,7 @@ The tensors are cached in the artifact store
 serialised layout, the split layer and the feature fields of the
 configuration.  Each file holds the ``vec`` tensor, the unique-image
 table with its ``src_index`` / ``sink_index`` gather arrays, and the
-candidate VPP lists as integer coordinate arrays (``group_sink``,
-``n_valid``, ``vpp_sink``, ``vpp_source``) — so warm runs, and the
+four candidate arrays — so warm runs, and the
 worker processes of the multi-process pipeline executor, skip
 candidate selection *and* feature extraction entirely.  A file that
 fails validation against the split layout is rebuilt.
@@ -46,39 +50,65 @@ from .vector_features import (
 )
 
 
-@dataclass
 class SampleGroup:
-    """One sink fragment's candidate group."""
+    """One sink fragment's candidate group: a view of row ``index`` of
+    its dataset's :class:`FeatureTensors`."""
 
-    index: int  # position in SplitDataset.groups / the feature tensors
-    sink_fragment_id: int
-    vpps: list[VPP]
-    target: int | None  # index of the positive VPP, None if not included
-    vec: np.ndarray  # (n, N_VECTOR_FEATURES) raw features, zero-padded
-    mask: np.ndarray  # (n,) validity
+    __slots__ = ("tensors", "index")
+
+    def __init__(self, tensors: FeatureTensors, index: int):
+        self.tensors = tensors
+        self.index = index
+
+    @property
+    def sink_fragment_id(self) -> int:
+        return int(self.tensors.group_sink[self.index])
+
+    @property
+    def target(self) -> int | None:
+        """Index of the positive VPP, None if it was not selected."""
+        target = int(self.tensors.targets[self.index])
+        return None if target < 0 else target
+
+    @property
+    def vec(self) -> np.ndarray:
+        return self.tensors.vec[self.index]
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.tensors.mask[self.index]
 
     @property
     def n_valid(self) -> int:
-        return int(self.mask.sum())
+        return int(self.tensors.n_valid[self.index])
+
+    @property
+    def vpps(self) -> list[VPP]:
+        """The candidate VPPs, built from the arrays on each call."""
+        t, i, k = self.tensors, self.index, self.n_valid
+        return [
+            VPP(VirtualPin(*sink), VirtualPin(*source))
+            for sink, source in zip(
+                t.vpp_sink[i, :k].tolist(), t.vpp_source[i, :k].tolist()
+            )
+        ]
 
 
 @dataclass
 class FeatureTensors:
-    """Precomputed per-dataset feature tensors (see module docstring)."""
+    """One layout's candidate groups and precomputed features, as arrays
+    (see module docstring)."""
 
+    group_sink: np.ndarray  # (G,) int64 sink fragment id
+    n_valid: np.ndarray  # (G,) int64 candidates, 1..n
+    vpp_sink: np.ndarray  # (G, n, 3) int64 (fragment id, x, y); pads 0
+    vpp_source: np.ndarray  # (G, n, 3) int64 likewise
     vec: np.ndarray  # (G, n, F) float32, raw (un-normalised)
     mask: np.ndarray  # (G, n) bool
     targets: np.ndarray  # (G,) int64; -1 where the group is unlabeled
     image_table: np.ndarray | None  # (U, C, S, S) uint8; row 0 = padding
     src_index: np.ndarray | None  # (G, n) intp into image_table
     sink_index: np.ndarray | None  # (G,) intp into image_table
-
-    def nbytes(self) -> int:
-        total = self.vec.nbytes + self.mask.nbytes + self.targets.nbytes
-        for arr in (self.image_table, self.src_index, self.sink_index):
-            if arr is not None:
-                total += arr.nbytes
-        return total
 
 
 class SplitDataset:
@@ -93,9 +123,6 @@ class SplitDataset:
         self.split = split
         self.config = config
         self._images: ImageExtractor | None = None
-        self.groups: list[SampleGroup] = []
-        self.n_skipped_empty = 0  # sink fragments with zero candidates
-        self.candidates: dict[int, list[VPP]] = {}
         self.tensors: FeatureTensors | None = None
 
         # Also gates the embedding cache of the attack scoring this set.
@@ -103,14 +130,14 @@ class SplitDataset:
         self.cache_key = features_key(split, config)
         store = artifact_store(use_disk_cache)
         if not store.read("features", self.cache_key, self._load_cache):
-            self.candidates = build_candidates(split, config.n_candidates)
-            self._build_group_shells()
             self.tensors = self._compute_tensors()
             store.write("features", self.cache_key, self._cache_arrays())
-        # Per-group vec/mask are views into the stacked tensors.
-        for group in self.groups:
-            group.vec = self.tensors.vec[group.index]
-            group.mask = self.tensors.mask[group.index]
+        self.groups = [
+            SampleGroup(self.tensors, i)
+            for i in range(len(self.tensors.group_sink))
+        ]
+        # Sink fragments with zero candidates have no group.
+        self.n_skipped_empty = len(split.sink_fragments) - len(self.groups)
 
     @property
     def images(self) -> ImageExtractor | None:
@@ -125,73 +152,29 @@ class SplitDataset:
             self._images = ImageExtractor(self.split, self.config)
         return self._images
 
-    def _build_group_shells(self) -> None:
-        """Groups with candidates, targets and masks but no features yet."""
-        n = self.config.n_candidates
-        for sink in self.split.sink_fragments:
-            vpps = self.candidates[sink.fragment_id]
-            if not vpps:
-                self.n_skipped_empty += 1
-                continue
-            truth = self.split.truth.get(sink.fragment_id)
-            target = None
-            for i, vpp in enumerate(vpps):
-                if vpp.source_fragment == truth:
-                    target = i
-                    break
-            mask = np.zeros(n, dtype=bool)
-            mask[: len(vpps[:n])] = True
-            self.groups.append(
-                SampleGroup(
-                    index=len(self.groups),
-                    sink_fragment_id=sink.fragment_id,
-                    vpps=vpps,
-                    target=target,
-                    vec=np.zeros((n, N_VECTOR_FEATURES), dtype=np.float32),
-                    mask=mask,
-                )
-            )
+    @property
+    def candidates(self) -> dict[int, list[VPP]]:
+        """Every sink fragment's candidate VPPs (empty where skipped),
+        built from the arrays on each call."""
+        candidates = {f.fragment_id: [] for f in self.split.sink_fragments}
+        candidates.update((g.sink_fragment_id, g.vpps) for g in self.groups)
+        return candidates
 
     # -- tensor precompute / cache --------------------------------------
     def _cache_arrays(self) -> dict[str, np.ndarray]:
         """Everything expensive, as arrays: features, unique images and
-        the candidate lists themselves (so warm loads skip candidate
+        the candidate arrays themselves (so warm loads skip candidate
         selection entirely).  Masks and targets are rederived."""
-        n = self.config.n_candidates
-        g = len(self.groups)
-        group_sink = np.array(
-            [grp.sink_fragment_id for grp in self.groups], dtype=np.int64
-        )
-        n_valid = np.array(
-            [len(grp.vpps) for grp in self.groups], dtype=np.int64
-        )
-        vpp_sink = np.zeros((g, n, 3), dtype=np.int64)
-        vpp_source = np.zeros((g, n, 3), dtype=np.int64)
-        for grp in self.groups:
-            for j, vpp in enumerate(grp.vpps[:n]):
-                vpp_sink[grp.index, j] = (
-                    vpp.sink_vp.fragment_id, vpp.sink_vp.x, vpp.sink_vp.y,
-                )
-                vpp_source[grp.index, j] = (
-                    vpp.source_vp.fragment_id, vpp.source_vp.x, vpp.source_vp.y,
-                )
-        arrays = {
-            "vec": self.tensors.vec,
-            "group_sink": group_sink,
-            "n_valid": n_valid,
-            "vpp_sink": vpp_sink,
-            "vpp_source": vpp_source,
-        }
+        names = ["vec", "group_sink", "n_valid", "vpp_sink", "vpp_source"]
         if self.tensors.image_table is not None:
-            arrays["image_table"] = self.tensors.image_table
-            arrays["src_index"] = self.tensors.src_index
-            arrays["sink_index"] = self.tensors.sink_index
-        return arrays
+            names += ["image_table", "src_index", "sink_index"]
+        return {name: getattr(self.tensors, name) for name in names}
 
     def _load_cache(self, path: Path) -> bool:
-        """Rebuild groups, candidates and tensors from a cache file.
+        """Load the tensors from a cache file.
 
-        Validates shapes and fragment ids against the split layout.  A
+        Validates shapes and fragment ids against the split layout, as
+        array operations: no per-candidate Python objects are built.  A
         missing array raises ``KeyError`` and any other mismatch
         ``ValueError``, leaving the dataset untouched for the store to
         report and rebuild.
@@ -209,15 +192,16 @@ class SplitDataset:
                 src_index = data["src_index"].astype(np.intp)
                 sink_index = data["sink_index"].astype(np.intp)
 
-        g = group_sink.shape[0]
-        sink_ids = {f.fragment_id for f in self.split.sink_fragments}
+        g = group_sink.size
+        sink_ids = np.array([f.fragment_id for f in self.split.sink_fragments])
         if (
-            vec.shape != (g, n, N_VECTOR_FEATURES)
+            group_sink.shape != (g,)
+            or vec.shape != (g, n, N_VECTOR_FEATURES)
             or n_valid.shape != (g,)
             or vpp_sink.shape != (g, n, 3)
             or vpp_source.shape != (g, n, 3)
-            or g > len(sink_ids)
-            or not set(group_sink.tolist()) <= sink_ids
+            or g > sink_ids.size
+            or not np.isin(group_sink, sink_ids).all()
         ):
             raise ValueError("feature tensors do not match the layout")
         if self.config.use_images:
@@ -238,77 +222,74 @@ class SplitDataset:
             ):
                 raise ValueError("image table does not match the config")
 
-        fragment_ids = {f.fragment_id for f in self.split.fragments}
-        groups: list[SampleGroup] = []
-        for i in range(g):
-            k = int(n_valid[i])
-            if not 1 <= k <= n:
-                raise ValueError(f"group {i} has {k} candidates")
-            vpps = []
-            for j in range(k):
-                sf, sx, sy = (int(v) for v in vpp_sink[i, j])
-                qf, qx, qy = (int(v) for v in vpp_source[i, j])
-                if sf not in fragment_ids or qf not in fragment_ids:
-                    raise ValueError(f"group {i} names an unknown fragment")
-                vpps.append(
-                    VPP(VirtualPin(sf, sx, sy), VirtualPin(qf, qx, qy))
-                )
-            sink_fid = int(group_sink[i])
-            truth = self.split.truth.get(sink_fid)
-            target = None
-            for j, vpp in enumerate(vpps):
-                if vpp.source_fragment == truth:
-                    target = j
-                    break
-            mask = np.zeros(n, dtype=bool)
-            mask[:k] = True
-            groups.append(
-                SampleGroup(
-                    index=i,
-                    sink_fragment_id=sink_fid,
-                    vpps=vpps,
-                    target=target,
-                    vec=vec[i],
-                    mask=mask,
-                )
-            )
+        bad = np.flatnonzero((n_valid < 1) | (n_valid > n))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"group {i} has {int(n_valid[i])} candidates")
+        # Padded slots are not checked: only valid slots name fragments.
+        mask = np.arange(n) < n_valid[:, None]
+        named = np.concatenate([vpp_sink[mask, 0], vpp_source[mask, 0]])
+        known = [f.fragment_id for f in self.split.fragments]
+        if not np.isin(named, known).all():
+            raise ValueError("a group names an unknown fragment")
 
-        self.groups = groups
-        self.n_skipped_empty = len(sink_ids) - g
-        self.candidates = {fid: [] for fid in sink_ids}
-        self.candidates.update(
-            {grp.sink_fragment_id: grp.vpps for grp in groups}
-        )
         self.tensors = FeatureTensors(
+            group_sink=group_sink,
+            n_valid=n_valid,
+            vpp_sink=vpp_sink,
+            vpp_source=vpp_source,
             vec=vec,
-            mask=self._mask_tensor(),
-            targets=self._target_tensor(),
+            mask=mask,
+            targets=self._targets(group_sink, mask, vpp_source),
             image_table=image_table,
             src_index=src_index,
             sink_index=sink_index,
         )
         return True
 
-    def _mask_tensor(self) -> np.ndarray:
-        if not self.groups:
-            return np.zeros((0, self.config.n_candidates), dtype=bool)
-        return np.stack([g.mask for g in self.groups])
-
-    def _target_tensor(self) -> np.ndarray:
-        return np.array(
-            [-1 if g.target is None else g.target for g in self.groups],
+    def _targets(
+        self, group_sink: np.ndarray, mask: np.ndarray, vpp_source: np.ndarray
+    ) -> np.ndarray:
+        """Per group, the first valid slot whose source is the sink's
+        true driver, or -1 where no slot is."""
+        # -1 for a sink without a truth entry: fragment ids are >= 0.
+        truth = np.array(
+            [self.split.truth.get(s, -1) for s in group_sink.tolist()],
             dtype=np.int64,
         )
+        hits = mask & (vpp_source[:, :, 0] == truth[:, None])
+        return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
     def _compute_tensors(self) -> FeatureTensors:
+        """Candidate selection and feature extraction (a cache miss)."""
         n = self.config.n_candidates
-        g = len(self.groups)
+        candidates = build_candidates(self.split, n)
+        lists = [
+            (sink.fragment_id, candidates[sink.fragment_id])
+            for sink in self.split.sink_fragments
+            if candidates[sink.fragment_id]
+        ]
+        g = len(lists)
+        group_sink = np.array([s for s, _ in lists], dtype=np.int64)
+        n_valid = np.array([len(vpps) for _, vpps in lists], dtype=np.int64)
+        mask = np.arange(n) < n_valid[:, None]
+        pins = np.zeros((g, n, 6), dtype=np.int64)
+        pins[mask] = np.array(
+            [
+                (p.fragment_id, p.x, p.y, q.fragment_id, q.x, q.y)
+                for _, vpps in lists
+                for p, q in ((v.sink_vp, v.source_vp) for v in vpps)
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 6)
+        vpp_sink, vpp_source = pins[:, :, :3].copy(), pins[:, :, 3:].copy()
+
         vec = np.zeros((g, n, N_VECTOR_FEATURES), dtype=np.float32)
-        for group in self.groups:
+        for i, (_, vpps) in enumerate(lists):
             features, _mask = group_vector_features(
-                self.split, group.vpps, n, self.config.max_feature_layers
+                self.split, vpps, n, self.config.max_feature_layers
             )
-            vec[group.index] = features
+            vec[i] = features
 
         image_table = src_index = sink_index = None
         if self.config.use_images:
@@ -329,23 +310,25 @@ class SplitDataset:
 
             src_index = np.zeros((g, n), dtype=np.intp)
             sink_index = np.zeros(g, dtype=np.intp)
-            for group in self.groups:
-                for i, vpp in enumerate(group.vpps[:n]):
+            for i, (sink_id, vpps) in enumerate(lists):
+                for j, vpp in enumerate(vpps):
                     frag = self.split.fragment(vpp.source_fragment)
-                    src_index[group.index, i] = table_row(frag, vpp.source_vp)
-                sink_frag = self.split.fragment(group.sink_fragment_id)
+                    src_index[i, j] = table_row(frag, vpp.source_vp)
+                sink_frag = self.split.fragment(sink_id)
                 # The sink fragment is rendered once per group (paper
                 # Sec. 4.2); use its first (deterministically ordered)
                 # virtual pin.
-                sink_index[group.index] = table_row(
-                    sink_frag, sink_frag.virtual_pins[0]
-                )
+                sink_index[i] = table_row(sink_frag, sink_frag.virtual_pins[0])
             image_table = np.stack(rows)
 
         return FeatureTensors(
+            group_sink=group_sink,
+            n_valid=n_valid,
+            vpp_sink=vpp_sink,
+            vpp_source=vpp_source,
             vec=vec,
-            mask=self._mask_tensor(),
-            targets=self._target_tensor(),
+            mask=mask,
+            targets=self._targets(group_sink, mask, vpp_source),
             image_table=image_table,
             src_index=src_index,
             sink_index=sink_index,

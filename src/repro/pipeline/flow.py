@@ -25,7 +25,12 @@ import time
 from pathlib import Path
 from typing import Any
 
-from ..core.artifacts import artifact_store, layout_key, weights_key
+from ..core.artifacts import (
+    artifact_store,
+    layout_fingerprint,
+    layout_key,
+    weights_key,
+)
 from ..core.attack import DLAttack
 from ..core.config import AttackConfig
 from ..layout.def_io import read_def, write_def
@@ -99,7 +104,7 @@ def get_defended_layout(
         return memo
     netlist = build_netlist(name)
 
-    def build() -> Design:
+    def place_and_route() -> Design:
         if kind == "none":
             return build_layout(netlist)
         # Imported lazily: repro.defense.evaluation imports this module,
@@ -113,12 +118,20 @@ def get_defended_layout(
             return lifted_layout(netlist, lift_fraction=strength, seed=seed)
         raise ValueError(f"unknown defense kind {kind!r}")
 
-    design = artifact_store().fetch(
-        "layout", key,
-        lambda path: read_def(path.read_text(), netlist),
-        build,
-        write_def,
+    def load(path: Path) -> tuple[Design, str]:
+        text = path.read_text()
+        return read_def(text, netlist), text
+
+    def build() -> tuple[Design, str]:
+        design = place_and_route()
+        return design, write_def(design)
+
+    design, text = artifact_store().fetch(
+        "layout", key, load, build, lambda built: built[1]
     )
+    # Key the layout's artifacts by the text the store holds: no second
+    # serialisation.
+    layout_fingerprint(design, text)
     _layout_memo[key] = design
     return design
 
@@ -198,7 +211,7 @@ def trained_attack(
         _attack_memo.pop(key, None)
         attack = DLAttack(config, split_layer)
         attack.load(path)
-        attack.model.eval()
+        attack.share()
         _attack_memo[key] = (tag, attack)
         return attack
 
@@ -207,7 +220,7 @@ def trained_attack(
         attack = DLAttack(config, split_layer)
         splits = [get_split(n, split_layer) for n in train_names]
         attack.train(splits, verbose=verbose)
-        attack.model.eval()
+        attack.share()
         return attack
 
     attack = store.fetch("weights", key, load, build, DLAttack.state_arrays)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import AttackConfig, DLAttack
-from repro.core.artifacts import embeddings_key
+from repro.core.artifacts import weights_digest
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
 from repro.split import ccr, split_design
@@ -194,9 +194,54 @@ class TestWeightsTag:
             {"p": np.zeros((3, 2), dtype=np.float32)},
             {"p": np.zeros((2, 3), dtype=np.int32)},
         ]
-        keys = {embeddings_key("f", state) for state in states}
+        keys = {weights_digest(state) for state in states}
         assert len(keys) == len(states)
 
     def test_tag_is_deterministic(self, trained):
         state = trained.model.state_dict()
-        assert embeddings_key("f", state) == embeddings_key("f", state)
+        assert weights_digest(state) == weights_digest(state)
+
+    def test_shared_attack_hashes_its_weights_once(
+        self, trained, splits, monkeypatch, tmp_path
+    ):
+        import repro.core.attack as attack_mod
+
+        path = tmp_path / "weights.npz"
+        trained.save(path)
+        attack = DLAttack(trained.config, split_layer=3)
+        attack.load(path)
+        attack.share()
+        hashed, keyed = [], []
+        real_digest = attack_mod.weights_digest
+        real_key = attack_mod.embeddings_key
+        monkeypatch.setattr(
+            attack_mod, "weights_digest",
+            lambda state: hashed.append(1) or real_digest(state),
+        )
+        monkeypatch.setattr(
+            attack_mod, "embeddings_key",
+            lambda features, weights: keyed.append(weights)
+            or real_key(features, weights),
+        )
+        attack.select(splits[2])
+        attack.select(splits[2])
+        assert not hashed
+        assert keyed == [real_digest(trained.model.state_dict())] * 2
+
+    def test_validation_keys_the_current_weights(self, splits, monkeypatch):
+        """Weights change between per-epoch validation selects; each
+        select keys its embeddings by the weights it scores with."""
+        import repro.core.attack as attack_mod
+
+        keyed = []
+        real_key = attack_mod.embeddings_key
+        monkeypatch.setattr(
+            attack_mod, "embeddings_key",
+            lambda features, weights: keyed.append(weights)
+            or real_key(features, weights),
+        )
+        attack = DLAttack(AttackConfig.tiny().with_(epochs=2), split_layer=3)
+        attack.train(splits[:1], val_splits=[splits[1]])
+        assert len(keyed) == 2
+        assert keyed[0] != keyed[1]
+        assert keyed[1] == weights_digest(attack.model.state_dict())

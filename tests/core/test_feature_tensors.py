@@ -1,5 +1,8 @@
 """Precomputed feature tensors: slicing parity, disk cache round-trip."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from repro.core.artifacts import cache_root
 from repro.core.vector_features import group_vector_features
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
+from repro.obs import metrics
+from repro.obs.logging import set_log_sink
 from repro.split import split_design
 
 
@@ -126,3 +131,95 @@ class TestDiskCache:
     def test_cache_opt_out_parameter(self, split):
         SplitDataset(split, AttackConfig.tiny(), use_disk_cache=False)
         assert not feature_files()
+
+
+class TestCorruptCandidateArrays:
+    """A feature file whose candidate arrays contradict the layout is
+    reported, counted and rebuilt, never loaded."""
+
+    @pytest.fixture()
+    def captured_log(self):
+        sink = io.StringIO()
+        set_log_sink(sink)
+        yield sink
+        set_log_sink(None)
+
+    @staticmethod
+    def rebuilt_count() -> float:
+        return metrics.counter(
+            "repro_artifacts_rebuilt_total", labels=("kind",)
+        ).value_of(kind="features")
+
+    @staticmethod
+    def damage(path, fault) -> None:
+        with np.load(path) as data:
+            arrays = {name: data[name].copy() for name in data.files}
+        fault(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    def unknown_id(self, split) -> int:
+        return max(f.fragment_id for f in split.fragments) + 1
+
+    def faults(self, split, n):
+        def unknown_source(arrays):
+            arrays["vpp_source"][0, 0, 0] = self.unknown_id(split)
+
+        def no_candidates(arrays):
+            arrays["n_valid"][0] = 0
+
+        def too_many_candidates(arrays):
+            arrays["n_valid"][0] = n + 1
+
+        def sink_not_a_sink(arrays):
+            arrays["group_sink"][0] = split.source_fragments[0].fragment_id
+
+        return [
+            unknown_source, no_candidates, too_many_candidates,
+            sink_not_a_sink,
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_fault_rebuilt(self, split, captured_log, case):
+        cfg = AttackConfig.tiny()
+        clean = SplitDataset(split, cfg)
+        (path,) = feature_files()
+        self.damage(path, self.faults(split, cfg.n_candidates)[case])
+        with pytest.raises(ValueError):
+            clean._load_cache(path)
+        before = self.rebuilt_count()
+        rebuilt = SplitDataset(split, cfg)
+        events = [
+            json.loads(line) for line in captured_log.getvalue().splitlines()
+        ]
+        assert [
+            e["kind"] for e in events if e["event"] == "artifact_rebuilt"
+        ] == ["features"]
+        assert self.rebuilt_count() == before + 1
+        assert np.array_equal(rebuilt.tensors.vec, clean.tensors.vec)
+        assert np.array_equal(rebuilt.tensors.targets, clean.tensors.targets)
+        # Rewritten: the next build reads the file cleanly.
+        SplitDataset(split, cfg)
+        assert self.rebuilt_count() == before + 1
+
+    def test_unknown_id_in_padded_slot_still_loads(self, split, captured_log):
+        # More slots than the layout has sources: every group is padded.
+        cfg = AttackConfig.tiny().with_(n_candidates=20)
+        clean = SplitDataset(split, cfg)
+        n = cfg.n_candidates
+        short = np.flatnonzero(clean.tensors.n_valid < n)
+        assert short.size
+        (path,) = feature_files()
+
+        def padded_unknown(arrays):
+            arrays["vpp_source"][short[0], n - 1, 0] = self.unknown_id(split)
+
+        self.damage(path, padded_unknown)
+        before = self.rebuilt_count()
+        warm = SplitDataset(split, cfg)
+        assert self.rebuilt_count() == before
+        assert "artifact_rebuilt" not in captured_log.getvalue()
+        assert warm.tensors.vpp_source[short[0], n - 1, 0] == (
+            self.unknown_id(split)
+        )
+        assert np.array_equal(warm.tensors.targets, clean.tensors.targets)

@@ -1,16 +1,31 @@
 """Pipeline caching: layouts and trained attacks."""
 
+import shutil
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro.core import AttackConfig
-from repro.core.artifacts import weights_key
+from repro.core import AttackConfig, SplitDataset
+from repro.core.artifacts import (
+    artifact_key,
+    artifact_store,
+    features_key,
+    layout_fingerprint,
+    weights_key,
+)
+from repro.layout import write_def
 from repro.pipeline import (
     build_netlist,
     clear_memo,
     get_defended_layout,
+    get_defended_split,
     get_split,
     trained_attack,
 )
+
+COMMITTED = Path(__file__).resolve().parents[2] / ".repro_cache"
+COMMITTED_LAYOUTS = sorted(p.stem for p in COMMITTED.glob("*.def"))
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +74,51 @@ class TestLayoutCache:
         a = get_split("tiny_a", 3)
         assert a is get_split("tiny_a", 3)
         assert a is not get_split("tiny_a", 1)
+
+
+class TestLayoutFingerprint:
+    """A layout's artifact keys hash the DEF text the store read or
+    wrote, which for every committed layout is its serialisation."""
+
+    @pytest.mark.skipif(
+        not COMMITTED.is_dir(), reason="committed warm cache not present"
+    )
+    @pytest.mark.parametrize("stem", COMMITTED_LAYOUTS)
+    def test_key_is_the_serialisation_hash(self, tmp_path, stem):
+        shutil.copyfile(COMMITTED / f"{stem}.def", tmp_path / f"{stem}.def")
+        name, _, defense = stem.partition("__")
+        args = ()
+        if defense:
+            kind, strength, seed = defense.split("_")
+            args = (kind, float(strength), int(seed.removeprefix("s")))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+            design = get_defended_layout(name, *args)
+            get_defended_split(name, 3, *args)  # splitting changes nothing
+        want = artifact_key(write_def(design).encode(), digits=64)
+        assert layout_fingerprint(design) == want
+
+    def test_built_layout_keyed_by_the_written_text(self):
+        design = get_defended_layout("tiny_a")
+        text = artifact_store().path("layout", "tiny_a").read_text()
+        assert layout_fingerprint(design) == artifact_key(
+            text.encode(), digits=64
+        )
+
+    def test_non_canonical_def_misses_the_feature_cache(self):
+        config = AttackConfig.tiny()
+        canonical = SplitDataset(get_split("tiny_a", 3), config)
+        path = artifact_store().path("layout", "tiny_a")
+        # Blank lines parse to the same design, but it is other text.
+        path.write_text("\n" + path.read_text().replace("\n", "\n\n"))
+        clear_memo()
+        split = get_split("tiny_a", 3)
+        assert write_def(split.design) == write_def(canonical.split.design)
+        assert features_key(split, config) != canonical.cache_key
+        reread = SplitDataset(split, config)
+        assert reread.cache_key != canonical.cache_key
+        assert artifact_store().exists("features", reread.cache_key)
+        assert np.array_equal(reread.tensors.vec, canonical.tensors.vec)
 
 
 class TestTrainedAttackCache:
