@@ -27,8 +27,10 @@ class ProximityAttack(Attack):
         if not len(pins):
             return assignment
         for sink in split.sink_fragments:
-            dist, _, _ = pins.nearest(sink)
-            if dist.size:
-                best = np.lexsort((pins.fragment_ids, dist))[0]
-                assignment[sink.fragment_id] = int(pins.fragment_ids[best])
+            if not sink.virtual_pins:
+                continue
+            dx, dy = pins.deltas(sink)
+            dist = (np.abs(dx) + np.abs(dy)).min(axis=0)  # per table pin
+            closest = pins.owner[dist == dist.min()]
+            assignment[sink.fragment_id] = int(pins.fragment_ids[closest].min())
         return assignment

@@ -257,9 +257,9 @@ class DLAttack:
             if self.config.use_images:
                 return self._select_deduplicated(dataset)
             assignment: dict[int, int] = {}
-            batch_size = self.config.batch_groups
-            for start in range(0, len(dataset.groups), batch_size):
-                groups = dataset.groups[start : start + batch_size]
+            chunk = self._SCORE_CHUNK
+            for start in range(0, len(dataset.groups), chunk):
+                groups = dataset.groups[start : start + chunk]
                 batch = make_batch(dataset, groups, self.normalizer, False)
                 scores = self.model(
                     batch.vec, batch.src_images, batch.sink_images
@@ -274,6 +274,11 @@ class DLAttack:
     # Conv-tower batch size for unique-image embedding; bounds the
     # activation memory the tower caches per call.
     _EMBED_CHUNK = 64
+    # Groups scored per forward call.  Dense folds a call's groups into
+    # one gemm per fc layer; 32 groups (480 rows at n = 15) scored the
+    # warm-service cells fastest of 16, 32, 48, 64 and 128.  The
+    # training batch (``config.batch_groups``) plays no part here.
+    _SCORE_CHUNK = 32
 
     def _select_deduplicated(self, dataset: SplitDataset) -> dict[int, int]:
         """Inference that embeds each unique image once.
@@ -288,10 +293,9 @@ class DLAttack:
         tensors = dataset.tensors
         emb_table = self._embedding_table(dataset)
         assignment: dict[int, int] = {}
-        batch_size = self.config.batch_groups
-        n_groups = len(dataset.groups)
-        for start in range(0, n_groups, batch_size):
-            idx = np.arange(start, min(start + batch_size, n_groups))
+        chunk, n_groups = self._SCORE_CHUNK, len(dataset.groups)
+        for start in range(0, n_groups, chunk):
+            idx = np.arange(start, min(start + chunk, n_groups))
             vec = self.normalizer.transform(tensors.vec[idx])
             scores = self.model.forward_from_embeddings(
                 vec,

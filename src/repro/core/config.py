@@ -53,6 +53,8 @@ class AttackConfig:
 
     # -- training ---------------------------------------------------------
     epochs: int = field(default=12, metadata=MODEL)
+    # Groups per training batch only: inference scores
+    # ``DLAttack._SCORE_CHUNK`` groups per call, whatever this is.
     batch_groups: int = field(default=8, metadata=MODEL)
     learning_rate: float = field(default=1e-3, metadata=MODEL)
     lr_decay: float = field(default=0.6, metadata=MODEL)

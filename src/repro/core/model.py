@@ -191,10 +191,11 @@ class SplitNet(Module):
         self._shape = (batch, n)
         self._mode = "emb"
         out = self.vector_branch(vec)
-        sink_bcast = np.broadcast_to(
-            sink_emb[:, None, :], (batch, n, width)
-        ).copy()
-        combined = np.concatenate([src_emb, sink_bcast], axis=2)
+        combined = np.empty(
+            (batch, n, 2 * width), dtype=np.result_type(src_emb, sink_emb)
+        )
+        combined[..., :width] = src_emb
+        combined[..., width:] = sink_emb[:, None, :]
         img_out = self.image_combine(combined)
         merged = np.concatenate([out, img_out], axis=2)
         scores = self.trunk(merged)

@@ -46,8 +46,12 @@ class Dense(Module):
 
     Accepts inputs of any leading shape ``(..., in_features)`` — the
     network applies the same fc stack to all ``n`` candidate VPPs of a
-    sink fragment at once.  In eval mode ``forward`` keeps no reference
-    to its input and ``backward`` raises.
+    sink fragment at once.  ``forward`` folds the leading axes into one
+    2-D gemm, where numpy would run one small gemm per group of ``n``
+    rows.  A score layer of one or two outputs (fc7) keeps
+    ``x @ W + b``: folded, its product is not bitwise the stacked one.
+    In eval mode ``forward`` keeps no reference to its input and
+    ``backward`` raises.
     """
 
     def __init__(
@@ -75,7 +79,12 @@ class Dense(Module):
                 f"Dense expected last dim {self.in_features}, got {x.shape}"
             )
         self._x = x if self.training else None
-        return x @ self.weight.value + self.bias.value
+        weight, bias = self.weight.value, self.bias.value
+        if self.out_features <= 2:
+            return x @ weight + bias
+        out = x.reshape(-1, self.in_features) @ weight
+        out += bias
+        return out.reshape(*x.shape[:-1], self.out_features)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x = self._x

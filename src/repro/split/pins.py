@@ -3,9 +3,12 @@
 Candidate selection and the three baseline attacks all compare one
 sink fragment's pins against every source fragment's pins.  A
 :class:`PinTable` flattens the source side once per layout, and
-:meth:`PinTable.nearest` is the one sink-pins x source-pins Manhattan
-kernel they share: one sink at a time, so memory stays O(sink pins x
-table pins) however many sinks the layout has.
+:meth:`PinTable.deltas` is the sink-pins x source-pins kernel they
+share: one sink at a time, so memory stays O(sink pins x table pins)
+however many sinks the layout has.  The flow k-NN and the random
+forest read the closest pin pair per fragment from
+:meth:`PinTable.nearest`; proximity needs only the closest fragment, so
+it reduces ``deltas`` to one minimum per sink itself.
 """
 
 from __future__ import annotations

@@ -1,16 +1,22 @@
 """The shared pin-distance kernel against the scalar loops it replaced.
 
-``PinTable.nearest`` serves the proximity attack, the network-flow
-k-nearest edges and the random forest's ranking.  Each must equal its
-former per-pair loop exactly: proximity assignments, RF rankings with
-their VPPs, and -- because network simplex breaks ties by edge order --
-the flow graph's nodes and ``(u, v, capacity, weight)`` edges in
-iteration order.  Runs on the committed layouts of the cold-attack cells.
+``PinTable.nearest`` serves the network-flow k-nearest edges and the
+random forest's ranking; the proximity attack reduces
+``PinTable.deltas`` itself.  Each must equal its former per-pair loop
+exactly: proximity assignments, RF rankings with their VPPs, and --
+because network simplex breaks ties by edge order -- the flow graph's
+nodes and ``(u, v, capacity, weight)`` edges in iteration order.  Runs
+on the committed layouts of the cold-attack cells.  Proximity is also
+held to the ``nearest`` + ``np.lexsort`` form it used before, on every
+committed Table-3 and training layout at M1 and M3.
 """
+
+import dataclasses
 
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.attacks import NetworkFlowAttack, ProximityAttack, RandomForestAttack
@@ -21,9 +27,12 @@ from repro.attacks.network_flow import (
     _min_sink_cap,
 )
 from repro.cells.timing import load_lower_bound_ff
-from repro.pipeline import clear_memo, get_split
+from repro.netlist.benchmarks import TABLE3_SPECS
+from repro.pipeline import clear_memo, default_train_names, get_split
 from repro.split import VPP
+from repro.split.fragments import SOURCE
 from repro.split.pins import PinTable
+from repro.split.split import SplitLayout
 
 COMMITTED = Path(__file__).resolve().parents[2] / ".repro_cache"
 CELLS = [
@@ -67,6 +76,21 @@ def scalar_proximity(split):
                     best = key
         if best is not None:
             assignment[sink.fragment_id] = best[1]
+    return assignment
+
+
+def lexsort_proximity(split):
+    """Proximity as it was: per-fragment ``PinTable.nearest``, then the
+    first of a full ``np.lexsort`` by (distance, fragment id)."""
+    pins = PinTable(split.source_fragments)
+    assignment = {}
+    if not len(pins):
+        return assignment
+    for sink in split.sink_fragments:
+        dist, _, _ = pins.nearest(sink)
+        if dist.size:
+            best = np.lexsort((pins.fragment_ids, dist))[0]
+            assignment[sink.fragment_id] = int(pins.fragment_ids[best])
     return assignment
 
 
@@ -146,6 +170,48 @@ def as_lists(graph):
 def test_proximity_equals_scalar(committed_split, design, layer):
     split = committed_split(design, layer)
     assert ProximityAttack().select(split) == scalar_proximity(split)
+
+
+@pytest.mark.parametrize("layer", [1, 3])
+@pytest.mark.parametrize(
+    "design",
+    [s.name for s in TABLE3_SPECS] + list(default_train_names()),
+)
+def test_proximity_equals_lexsort(committed_split, design, layer):
+    split = committed_split(design, layer)
+    got = ProximityAttack().select(split)
+    assert got
+    assert list(got.items()) == list(lexsort_proximity(split).items())
+
+
+def with_pins_dropped(split, drop):
+    """``split`` with the virtual pins of every fragment ``drop`` picks
+    removed."""
+    fragments = [
+        dataclasses.replace(f, virtual_pins=[]) if drop(f) else f
+        for f in split.fragments
+    ]
+    return SplitLayout(split.design, split.split_layer, fragments, split.truth)
+
+
+def test_proximity_skips_sinks_without_pins(committed_split):
+    split = committed_split("c880", 3)
+    sinks = split.sink_fragments[::3]
+    dropped = {f.fragment_id for f in sinks if f.virtual_pins}
+    assert dropped
+    split = with_pins_dropped(split, lambda f: f.fragment_id in dropped)
+    got = ProximityAttack().select(split)
+    assert got and not dropped & got.keys()
+    assert list(got.items()) == list(lexsort_proximity(split).items())
+
+
+def test_proximity_with_an_empty_pin_table(committed_split):
+    split = with_pins_dropped(
+        committed_split("c880", 3), lambda f: f.kind == SOURCE
+    )
+    assert not len(PinTable(split.source_fragments))
+    assert split.sink_fragments
+    assert ProximityAttack().select(split) == lexsort_proximity(split) == {}
 
 
 @pytest.mark.parametrize("design,layer", CELLS)

@@ -89,7 +89,7 @@ def scores_and_embeddings(attack, arrays):
         for s in range(0, table.shape[0], chunk)
     ])
     groups = arrays["vec"].shape[0]
-    batch = attack.config.batch_groups
+    batch = DLAttack._SCORE_CHUNK
     scores = []
     for s in range(0, groups, batch):
         idx = np.arange(s, min(s + batch, groups))
