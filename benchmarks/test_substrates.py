@@ -99,6 +99,8 @@ def test_image_extraction(benchmark, split_m3):
 
 @pytest.fixture(scope="module")
 def net_and_batch():
+    """Four groups over a unique-image table, duplicated as candidate
+    groups share source images."""
     config = AttackConfig.fast()
     net = SplitNet(config, split_layer=3)
     rng = np.random.default_rng(0)
@@ -106,26 +108,34 @@ def net_and_batch():
     c = config.image_channels(3)
     s = config.image_size
     vec = rng.standard_normal((4, n, N_VECTOR_FEATURES)).astype(np.float32)
-    src = (rng.random((4, n, c, s, s)) < 0.15).astype(np.float32)
-    sink = (rng.random((4, c, s, s)) < 0.15).astype(np.float32)
-    return net, vec, src, sink
+    images = (rng.random((2 * n, c, s, s)) < 0.15).astype(np.float32)
+    src_gather = rng.integers(0, 2 * n, size=(4, n)).astype(np.intp)
+    sink_gather = np.arange(4, dtype=np.intp)
+    return net, vec, images, src_gather, sink_gather
 
 
 def test_splitnet_forward(benchmark, net_and_batch):
-    net, vec, src, sink = net_and_batch
-    scores = benchmark(lambda: net(vec, src, sink))
+    net, vec, images, src_gather, sink_gather = net_and_batch
+
+    def score():
+        emb = net.embed_images(images)
+        return net.forward_from_embeddings(
+            vec, emb[src_gather], emb[sink_gather]
+        )
+
+    scores = benchmark(score)
     assert scores.shape == (4, net.config.n_candidates)
 
 
 def test_splitnet_training_step(benchmark, net_and_batch):
-    net, vec, src, sink = net_and_batch
+    net, vec, images, src_gather, sink_gather = net_and_batch
     targets = np.array([0, 1, 2, 3])
 
     def step():
         net.zero_grad()
-        scores = net(vec, src, sink)
+        scores = net.forward_deduplicated(vec, images, src_gather, sink_gather)
         loss, grad = softmax_regression_loss(scores, targets)
-        net.backward(grad)
+        net.backward_deduplicated(grad)
         return loss
 
     loss = benchmark(step)

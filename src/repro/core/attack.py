@@ -73,12 +73,14 @@ class DLAttack:
     ) -> TrainLog:
         started = time.perf_counter()
         self._shared_digest = None  # the weights are about to change
-        for split in train_splits:
-            if split.split_layer != self.split_layer:
-                raise ValueError(
-                    f"attack is for M{self.split_layer}, got a "
-                    f"M{split.split_layer} training layout"
-                )
+        for role, splits in (("training", train_splits),
+                             ("validation", val_splits or [])):
+            for split in splits:
+                if split.split_layer != self.split_layer:
+                    raise ValueError(
+                        f"attack is for M{self.split_layer}, got a "
+                        f"M{split.split_layer} {role} layout"
+                    )
         datasets = [
             SplitDataset(s, self.config) for s in train_splits
         ]
@@ -128,14 +130,7 @@ class DLAttack:
                 for dataset, gi in picked:
                     by_dataset.setdefault(id(dataset), (dataset, []))[1].append(gi)
                 batches = [
-                    make_batch(
-                        dataset,
-                        [dataset.groups[i] for i in indices],
-                        self.normalizer,
-                        True,
-                        # Conv tower once per unique image per batch.
-                        dedup_images=self.config.use_images,
-                    )
+                    make_batch(dataset, indices, self.normalizer)
                     for dataset, indices in by_dataset.values()
                 ]
                 batch = _concat_batches(batches)
@@ -171,21 +166,21 @@ class DLAttack:
 
     def _train_step(self, batch: Batch, optimizer: Adam) -> float:
         optimizer.zero_grad()
-        dedup = batch.image_batch is not None
-        if dedup:
+        if self.config.use_images:
+            # Conv tower once per unique image of the batch.
             scores = self.model.forward_deduplicated(
                 batch.vec, batch.image_batch,
                 batch.src_gather, batch.sink_gather,
             )
         else:
-            scores = self.model(batch.vec, batch.src_images, batch.sink_images)
+            scores = self.model(batch.vec)
         if self.config.loss == "softmax":
             loss, grad = softmax_regression_loss(
                 scores, batch.targets, batch.mask
             )
         else:
             loss, grad = two_class_loss(scores, batch.targets, batch.mask)
-        if dedup:
+        if self.config.use_images:
             self.model.backward_deduplicated(grad)
         else:
             self.model.backward(grad)
@@ -243,6 +238,14 @@ class DLAttack:
     def _select_dataset(self, dataset: SplitDataset) -> dict[int, int]:
         """Inference over an already-built dataset.
 
+        Image models embed each unique image once: candidate groups
+        share source images heavily (8-10x duplication on the Table 3
+        suite), so the conv tower — the inference bottleneck — runs
+        over the dataset's unique-image table and the per-group
+        embeddings are gathered by index.  The embedding table is itself
+        a deterministic function of (weights, image table) and is
+        disk-cached next to the feature tensors, keyed by both.
+
         Runs under eval mode.  A model in training mode (per-epoch
         validation calls this mid-training) is switched back on exit:
         leaving it in eval mode would silently disable dropout for every
@@ -254,17 +257,24 @@ class DLAttack:
         if was_training:
             self.model.eval()
         try:
-            if self.config.use_images:
-                return self._select_deduplicated(dataset)
+            tensors = dataset.tensors
+            emb_table = (
+                self._embedding_table(dataset)
+                if self.config.use_images else None
+            )
             assignment: dict[int, int] = {}
-            chunk = self._SCORE_CHUNK
-            for start in range(0, len(dataset.groups), chunk):
-                groups = dataset.groups[start : start + chunk]
-                batch = make_batch(dataset, groups, self.normalizer, False)
-                scores = self.model(
-                    batch.vec, batch.src_images, batch.sink_images
-                )
-                idx = np.arange(start, start + len(groups))
+            chunk, n_groups = self._SCORE_CHUNK, len(dataset.groups)
+            for start in range(0, n_groups, chunk):
+                idx = np.arange(start, min(start + chunk, n_groups))
+                vec = self.normalizer.transform(tensors.vec[idx])
+                if emb_table is None:
+                    scores = self.model(vec)
+                else:
+                    scores = self.model.forward_from_embeddings(
+                        vec,
+                        emb_table[tensors.src_index[idx]],
+                        emb_table[tensors.sink_index[idx]],
+                    )
                 self._assign_choices(dataset, idx, scores, assignment)
             return assignment
         finally:
@@ -279,31 +289,6 @@ class DLAttack:
     # warm-service cells fastest of 16, 32, 48, 64 and 128.  The
     # training batch (``config.batch_groups``) plays no part here.
     _SCORE_CHUNK = 32
-
-    def _select_deduplicated(self, dataset: SplitDataset) -> dict[int, int]:
-        """Inference that embeds each unique image once.
-
-        Candidate groups share source images heavily (8-10x duplication
-        on the Table 3 suite), so the conv tower — the inference
-        bottleneck — runs over the dataset's unique-image table and the
-        per-group embeddings are gathered by index.  The embedding table
-        is itself a deterministic function of (weights, image table) and
-        is disk-cached next to the feature tensors, keyed by both.
-        """
-        tensors = dataset.tensors
-        emb_table = self._embedding_table(dataset)
-        assignment: dict[int, int] = {}
-        chunk, n_groups = self._SCORE_CHUNK, len(dataset.groups)
-        for start in range(0, n_groups, chunk):
-            idx = np.arange(start, min(start + chunk, n_groups))
-            vec = self.normalizer.transform(tensors.vec[idx])
-            scores = self.model.forward_from_embeddings(
-                vec,
-                emb_table[tensors.src_index[idx]],
-                emb_table[tensors.sink_index[idx]],
-            )
-            self._assign_choices(dataset, idx, scores, assignment)
-        return assignment
 
     def _embedding_table(self, dataset: SplitDataset) -> np.ndarray:
         """(U, fc_width) tower embeddings of the unique-image table,
@@ -440,17 +425,6 @@ def _concat_batches(batches: list[Batch]) -> Batch:
         vec=np.concatenate([b.vec for b in batches]),
         mask=np.concatenate([b.mask for b in batches]),
         targets=np.concatenate([b.targets for b in batches]),
-        src_images=(
-            np.concatenate([b.src_images for b in batches])
-            if batches[0].src_images is not None
-            else None
-        ),
-        sink_images=(
-            np.concatenate([b.sink_images for b in batches])
-            if batches[0].sink_images is not None
-            else None
-        ),
-        groups=[g for b in batches for g in b.groups],
         image_batch=image_batch,
         src_gather=src_gather,
         sink_gather=sink_gather,

@@ -15,9 +15,12 @@ Feature tensors are **precomputed once** at :class:`SplitDataset`
 build: the raw vector features are stacked into one ``(G, n, F)``
 array, and every distinct virtual-pin image is rendered exactly once
 into a unique-image table with ``(G, n)`` / ``(G,)`` index arrays
-pointing into it (row 0 is the all-zero padding image).  Batch
-assembly (:func:`make_batch`) is then a pure index-and-slice
-operation — epochs never re-render or re-stack features.
+pointing into it (row 0 is the all-zero padding image).  Images
+reach the network only in that form: training batches
+(:func:`make_batch`) carry the batch's own unique-image sub-table with
+gather indices into it, and inference embeds the whole table once and
+gathers embeddings.  Batch assembly is a pure index-and-slice
+operation — epochs never re-render features.
 
 The tensors are cached in the artifact store
 (:mod:`repro.core.artifacts`, kind ``features``), keyed by a hash of the
@@ -336,7 +339,8 @@ class SplitDataset:
 
     # -- views -------------------------------------------------------------
     def trainable_groups(self) -> list[SampleGroup]:
-        """Groups whose positive VPP survived candidate selection."""
+        """Groups whose positive VPP survived candidate selection (the
+        ``perfbench`` train-epoch workload counts its items with this)."""
         return [g for g in self.groups if g.target is not None]
 
     def candidate_recall(self) -> float:
@@ -354,36 +358,21 @@ class SplitDataset:
             return np.zeros((0, N_VECTOR_FEATURES))
         return self.tensors.vec[self.tensors.mask]
 
-    # -- batch assembly -----------------------------------------------------
-    def group_images(
-        self, group: SampleGroup
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(source images (n, C, S, S), sink image (C, S, S)) as float32."""
-        if self.images is None:
-            raise RuntimeError("image features disabled in config")
-        t = self.tensors
-        src = t.image_table[t.src_index[group.index]].astype(np.float32)
-        sink = t.image_table[t.sink_index[group.index]].astype(np.float32)
-        return src, sink
-
 
 @dataclass
 class Batch:
-    """A training/inference batch of B groups.
+    """A training batch of B labelled groups.
 
-    Images come in one of two shapes: the *materialised* form
-    (``src_images``/``sink_images``, every slot its own copy) or the
-    *deduplicated* form (``image_batch`` holding each distinct image of
-    the batch once, ``src_gather``/``sink_gather`` indexing its rows) —
-    exactly one of the two is populated when images are enabled.
+    With images enabled, ``image_batch`` holds each distinct image of
+    the batch once and ``src_gather``/``sink_gather`` index its rows:
+    ``image_batch[src_gather]`` is every candidate slot's source image,
+    ``image_batch[sink_gather]`` every group's sink image.  All three
+    are None for a vector-only config.
     """
 
     vec: np.ndarray  # (B, n, F) normalised
     mask: np.ndarray  # (B, n)
-    targets: np.ndarray | None  # (B,) or None at inference
-    src_images: np.ndarray | None  # (B, n, C, S, S)
-    sink_images: np.ndarray | None  # (B, C, S, S)
-    groups: list[SampleGroup]
+    targets: np.ndarray  # (B,)
     image_batch: np.ndarray | None = None  # (U, C, S, S) float32, unique
     src_gather: np.ndarray | None = None  # (B, n) intp into image_batch
     sink_gather: np.ndarray | None = None  # (B,) intp into image_batch
@@ -391,52 +380,34 @@ class Batch:
 
 def make_batch(
     dataset: SplitDataset,
-    groups: list[SampleGroup],
+    indices,
     normalizer: FeatureNormalizer,
-    with_targets: bool,
-    dedup_images: bool = False,
 ) -> Batch:
-    """Assemble a batch from ``groups``.
+    """Assemble a training batch from the labelled groups ``indices``
+    of ``dataset``.
 
-    With ``dedup_images`` (and images enabled), the duplicate-heavy
-    ``(B, n, C, S, S)`` stacks are replaced by a unique-image sub-table
-    plus gather indices: candidate groups share source images heavily
-    (a popular source fragment is a candidate of many sinks), so the
-    sub-table is typically ~8-10x smaller than the materialised stacks.
-    ``image_batch[src_gather]`` / ``image_batch[sink_gather]``
-    reconstructs the materialised form bit-for-bit.
+    Candidate groups share source images heavily (a popular source
+    fragment is a candidate of many sinks), so the batch carries a
+    unique-image sub-table, typically ~8-10x smaller than one image
+    per candidate slot, plus gather indices into it.
     """
     tensors = dataset.tensors
-    idx = np.array([g.index for g in groups], dtype=np.intp)
+    idx = np.asarray(indices, dtype=np.intp)
     vec = normalizer.transform(tensors.vec[idx])
     mask = tensors.mask[idx]
-    targets = None
-    if with_targets:
-        targets = tensors.targets[idx]
-        if (targets < 0).any():
-            raise ValueError("cannot build a training batch from unlabeled groups")
-    src_images = sink_images = None
-    image_batch = src_gather = sink_gather = None
-    if dataset.config.use_images:
-        if dedup_images:
-            b, n = tensors.src_index[idx].shape
-            flat = np.concatenate(
-                [tensors.src_index[idx].ravel(), tensors.sink_index[idx]]
-            )
-            uniq, inverse = np.unique(flat, return_inverse=True)
-            image_batch = tensors.image_table[uniq].astype(np.float32)
-            src_gather = inverse[: b * n].reshape(b, n).astype(np.intp)
-            sink_gather = inverse[b * n :].astype(np.intp)
-        else:
-            src_images = tensors.image_table[tensors.src_index[idx]].astype(
-                np.float32
-            )
-            sink_images = tensors.image_table[tensors.sink_index[idx]].astype(
-                np.float32
-            )
+    targets = tensors.targets[idx]
+    if (targets < 0).any():
+        raise ValueError("cannot build a training batch from unlabeled groups")
+    if not dataset.config.use_images:
+        return Batch(vec, mask, targets)
+    b, n = tensors.src_index[idx].shape
+    flat = np.concatenate(
+        [tensors.src_index[idx].ravel(), tensors.sink_index[idx]]
+    )
+    uniq, inverse = np.unique(flat, return_inverse=True)
     return Batch(
-        vec, mask, targets, src_images, sink_images, groups,
-        image_batch=image_batch,
-        src_gather=src_gather,
-        sink_gather=sink_gather,
+        vec, mask, targets,
+        image_batch=tensors.image_table[uniq].astype(np.float32),
+        src_gather=inverse[: b * n].reshape(b, n).astype(np.intp),
+        sink_gather=inverse[b * n :].astype(np.intp),
     )

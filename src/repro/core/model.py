@@ -14,9 +14,16 @@ Three parts, glued by explicit forward/backward passes:
   (256 -> 128), three residual blocks, fc6 (128 -> 32), fc7 (32 -> 1;
   32 -> 2 in the two-class ablation).
 
-The sink image is processed once per group and its tower gradient is
-the sum over the n broadcast copies — the paper's runtime optimisation
-("we only process them once to save runtime"), reproduced exactly.
+Images reach the tower in one form only: a table of unique images plus
+gather indices into it.  The sink image is processed once per group and
+its tower gradient is the sum over the n broadcast copies — the paper's
+runtime optimisation ("we only process them once to save runtime"),
+reproduced exactly — and a source image shared by several candidate
+slots is likewise embedded once, its gradients summed by a scatter-add.
+Image models train through :meth:`SplitNet.forward_deduplicated` /
+:meth:`SplitNet.backward_deduplicated` and score through
+:meth:`SplitNet.forward_from_embeddings`; :meth:`SplitNet.forward` /
+:meth:`SplitNet.backward` serve the vector-only model.
 """
 
 from __future__ import annotations
@@ -86,12 +93,10 @@ class SplitNet(Module):
         )
         self.trunk = Sequential(*trunk_layers)
         self._shape: tuple[int, int] | None = None
-        # Which forward produced the cached activations: "stack" (plain
-        # forward over materialised image stacks), "emb" (precomputed
-        # embeddings), "dedup" (unique-image batch + gather indices).
-        # The matching backward must be used — mixing them would send
-        # gradients through the wrong tower cache.
-        self._mode: str | None = None
+        # Gather indices and embedding shape of the last
+        # forward_deduplicated; None after any other forward, so
+        # backward_deduplicated cannot pair with activations whose tower
+        # input it never saw.
         self._dedup: tuple | None = None
 
     def _build_tower(self, in_channels: int, rng: np.random.Generator) -> Sequential:
@@ -117,44 +122,27 @@ class SplitNet(Module):
         return Sequential(*layers)
 
     # -- forward ----------------------------------------------------------
-    def forward(
-        self,
-        vec: np.ndarray,
-        src_images: np.ndarray | None = None,
-        sink_images: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Scores for a batch of candidate groups.
+    def forward(self, vec: np.ndarray) -> np.ndarray:
+        """Scores of the vector-only model for a batch of candidate
+        groups.
 
-        ``vec``: (B, n, 27); images (B, n, C, S, S) and (B, C, S, S).
-        Returns (B, n) for softmax mode or (B, n, 2) for two-class.
+        ``vec``: (B, n, 27).  Returns (B, n) for softmax mode or
+        (B, n, 2) for two-class.  Image models score through
+        :meth:`forward_from_embeddings`.
         """
+        if self.use_images:
+            raise ValueError(
+                "model configured with images; use forward_from_embeddings"
+                " or forward_deduplicated"
+            )
         if vec.ndim != 3 or vec.shape[-1] != N_VECTOR_FEATURES:
             raise ValueError(f"vec must be (B, n, {N_VECTOR_FEATURES})")
-        batch, n, _ = vec.shape
-
-        if self.use_images:
-            if src_images is None or sink_images is None:
-                raise ValueError("model configured with images; none given")
-            width = self.config.fc_width
-            c, s = src_images.shape[2], src_images.shape[3]
-            flat_src = src_images.reshape(batch * n, c, s, s)
-            stacked = np.concatenate([flat_src, sink_images], axis=0)
-            emb = self.tower(stacked)
-            src_emb = emb[: batch * n].reshape(batch, n, width)
-            sink_emb = emb[batch * n :]
-            scores = self.forward_from_embeddings(vec, src_emb, sink_emb)
-            self._mode = "stack"
-            return scores
-
-        self._shape = (batch, n)
-        self._mode = "stack"
-        out = self.vector_branch(vec)
-        scores = self.trunk(out)
+        self._shape = vec.shape[:2]
+        scores = self.trunk(self.vector_branch(vec))
         if self.out_dim == 1:
             return scores[..., 0]
         return scores
 
-    # -- deduplicated inference ----------------------------------------
     def embed_images(self, images: np.ndarray) -> np.ndarray:
         """Tower embeddings (K, fc_width) for a stack of (K, C, S, S)
         images.
@@ -177,19 +165,16 @@ class SplitNet(Module):
         """Scores from precomputed tower embeddings.
 
         ``vec``: (B, n, F); ``src_emb``: (B, n, width); ``sink_emb``:
-        (B, width).  Mirrors :meth:`forward` after the conv tower, and
-        caches the post-tower activations, so it is training-capable:
-        pair it with :meth:`backward_to_embeddings` to get the gradient
-        with respect to the embeddings (the conv tower itself is the
-        caller's responsibility — see :meth:`forward_deduplicated` for
-        the variant that also runs and back-propagates the tower).
+        (B, width).  The sink embedding is broadcast to every candidate
+        slot.  Inference calls this over a cached embedding table;
+        :meth:`forward_deduplicated` calls it after running the tower.
         """
         if not self.use_images:
             raise RuntimeError("model configured without images")
         batch, n, _ = vec.shape
         width = self.config.fc_width
         self._shape = (batch, n)
-        self._mode = "emb"
+        self._dedup = None
         out = self.vector_branch(vec)
         combined = np.empty(
             (batch, n, 2 * width), dtype=np.result_type(src_emb, sink_emb)
@@ -225,10 +210,10 @@ class SplitNet(Module):
         scores = self.forward_from_embeddings(
             vec, emb[src_gather], emb[sink_gather]
         )
-        self._mode = "dedup"
-        self._dedup = (src_gather, sink_gather, emb.shape, emb.dtype)
+        self._dedup = (src_gather, sink_gather, emb.shape)
         return scores
 
+    # -- backward ---------------------------------------------------------
     def _backward_merged(
         self, grad_scores: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -237,7 +222,8 @@ class SplitNet(Module):
         Returns per-slot ``(grad_src_emb (B, n, width), grad_sink_emb
         (B, width))``, or ``None`` for a vector-only model.
         """
-        batch, n = self._shape
+        if self._shape is None:
+            raise RuntimeError("backward called before forward")
         self._shape = None
         width = self.config.fc_width
 
@@ -263,61 +249,27 @@ class SplitNet(Module):
         return grad_src, grad_sink
 
     def backward(self, grad_scores: np.ndarray) -> None:
-        """Back-propagate from d loss / d scores; accumulates gradients."""
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        if self._mode != "stack":
+        """Back-propagate the vector-only model from d loss / d scores;
+        accumulates gradients."""
+        if self.use_images:
             raise RuntimeError(
-                "last forward used precomputed embeddings; call "
-                "backward_to_embeddings or backward_deduplicated instead"
+                "model configured with images; use backward_deduplicated"
             )
-        self._mode = None
-        res = self._backward_merged(grad_scores)
-        if res is None:
-            return
-        grad_src, grad_sink = res
-        width = self.config.fc_width
-        grad_emb = np.concatenate(
-            [grad_src.reshape(-1, width), grad_sink], axis=0
-        )
-        self._tower_backward(grad_emb)
-
-    def backward_to_embeddings(
-        self, grad_scores: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Back-propagate everything *except* the conv tower.
-
-        Counterpart of :meth:`forward_from_embeddings`: accumulates
-        gradients for the vector branch, image-combine and trunk
-        parameters, and returns ``(grad_src_emb (B, n, width),
-        grad_sink_emb (B, width))`` for the caller to push through the
-        tower (or a cached embedding table's consumers).
-        """
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        if self._mode not in ("emb", "dedup"):
-            raise RuntimeError(
-                "last forward did not go through forward_from_embeddings"
-            )
-        self._mode = None
-        res = self._backward_merged(grad_scores)
-        assert res is not None  # guarded by use_images in the forward
-        return res
+        self._backward_merged(grad_scores)
 
     def backward_deduplicated(self, grad_scores: np.ndarray) -> None:
         """Backward for :meth:`forward_deduplicated`.
 
         Scatter-adds (``np.add.at``) the per-slot embedding gradients
         onto the unique-image rows — duplicates referencing the same
-        row sum, exactly like the sink broadcast's ``sum(axis=1)`` in
-        the stacked path — then back-propagates the tower once.
+        row sum, as the n broadcast copies of the sink embedding do —
+        then back-propagates the tower once.
         """
-        if self._mode != "dedup" or self._dedup is None:
+        if self._dedup is None:
             raise RuntimeError("last forward was not forward_deduplicated")
-        src_gather, sink_gather, emb_shape, _ = self._dedup
+        src_gather, sink_gather, emb_shape = self._dedup
         self._dedup = None
-        self._mode = "emb"
-        grad_src, grad_sink = self.backward_to_embeddings(grad_scores)
+        grad_src, grad_sink = self._backward_merged(grad_scores)
         width = emb_shape[1]
         grad_emb = np.zeros(emb_shape, dtype=grad_src.dtype)
         np.add.at(grad_emb, src_gather.reshape(-1), grad_src.reshape(-1, width))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import AttackConfig, DLAttack
+from repro.core import attack as attack_mod
 from repro.core.artifacts import weights_digest
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
@@ -40,6 +41,26 @@ class TestTraining:
         attack = DLAttack(AttackConfig.tiny(), split_layer=1)
         with pytest.raises(ValueError, match="M1"):
             attack.train(splits[:1])
+
+    @pytest.mark.parametrize("use_images", [True, False],
+                             ids=["images", "vector-only"])
+    def test_validation_layer_mismatch_rejected(
+        self, splits, use_images, monkeypatch
+    ):
+        """A validation layout at another split layer is refused up
+        front, before any dataset is built or training step runs."""
+        nl = RandomLogicGenerator().generate("atk101", 70, seed=101)
+        m1 = split_design(build_layout(nl), 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(DLAttack, "_train_step", refuse)
+        monkeypatch.setattr(attack_mod, "SplitDataset", refuse)
+        cfg = AttackConfig.tiny().with_(epochs=1, use_images=use_images)
+        attack = DLAttack(cfg, split_layer=3)
+        with pytest.raises(ValueError, match="M1 validation layout"):
+            attack.train(splits[:1], val_splits=[m1])
 
     def test_untrained_attack_refuses_to_predict(self, splits):
         attack = DLAttack(AttackConfig.tiny(), split_layer=3)
@@ -80,6 +101,23 @@ class TestInference:
         a = trained.select(splits[2])
         b = trained.select(splits[2])
         assert a == b
+
+    @pytest.mark.parametrize("use_images", [True, False],
+                             ids=["images", "vector-only"])
+    def test_inference_builds_no_batches(self, splits, use_images,
+                                         monkeypatch):
+        """Scoring reads the feature tensors directly: training batches
+        (and their targets) play no part in inference."""
+        cfg = AttackConfig.tiny().with_(epochs=1, use_images=use_images)
+        attack = DLAttack(cfg, split_layer=3)
+        attack.train(splits[:1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference built a batch")
+
+        monkeypatch.setattr(attack_mod, "make_batch", refuse)
+        assignment = attack.select(splits[2])
+        assert assignment
 
 
 class TestPersistence:

@@ -8,6 +8,8 @@ from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
 from repro.split import split_design
 
+from identity_gather import materialised_images
+
 
 @pytest.fixture(scope="module")
 def split():
@@ -54,42 +56,45 @@ class TestGroups:
 class TestImages:
     def test_group_images_shapes(self, dataset):
         cfg = dataset.config
-        group = dataset.groups[0]
-        src, sink = dataset.group_images(group)
+        src, sink = materialised_images(dataset, [0])
         c = dataset.images.n_channels
-        assert src.shape == (cfg.n_candidates, c, cfg.image_size, cfg.image_size)
-        assert sink.shape == (c, cfg.image_size, cfg.image_size)
+        assert src.shape == (1, cfg.n_candidates, c, cfg.image_size, cfg.image_size)
+        assert sink.shape == (1, c, cfg.image_size, cfg.image_size)
 
     def test_padded_candidates_have_zero_images(self, dataset):
         group = next((g for g in dataset.groups if not g.mask.all()), None)
         if group is None:
             pytest.skip("all groups full in this layout")
-        src, _sink = dataset.group_images(group)
-        assert np.all(src[~group.mask] == 0)
+        src, _sink = materialised_images(dataset, [group.index])
+        assert np.all(src[0][~group.mask] == 0)
 
     def test_images_disabled(self, split):
         ds = SplitDataset(split, AttackConfig.tiny().with_(use_images=False))
         assert ds.images is None
-        with pytest.raises(RuntimeError):
-            ds.group_images(ds.groups[0])
+        assert ds.tensors.image_table is None
+        norm = FeatureNormalizer().fit(ds.all_vector_rows())
+        labelled = np.flatnonzero(ds.tensors.targets >= 0)
+        batch = make_batch(ds, labelled[:2], norm)
+        assert batch.image_batch is None
+        assert batch.src_gather is None and batch.sink_gather is None
 
 
 class TestBatching:
     def test_make_batch_shapes(self, dataset):
         norm = FeatureNormalizer().fit(dataset.all_vector_rows())
         groups = dataset.trainable_groups()[:3]
-        batch = make_batch(dataset, groups, norm, with_targets=True)
+        batch = make_batch(dataset, [g.index for g in groups], norm)
         n = dataset.config.n_candidates
         assert batch.vec.shape == (3, n, 27)
         assert batch.mask.shape == (3, n)
         assert batch.targets.shape == (3,)
-        assert batch.src_images.shape[0] == 3
-        assert batch.sink_images.shape[0] == 3
-
-    def test_inference_batch_has_no_targets(self, dataset):
-        norm = FeatureNormalizer().fit(dataset.all_vector_rows())
-        batch = make_batch(dataset, dataset.groups[:2], norm, with_targets=False)
-        assert batch.targets is None
+        assert batch.src_gather.shape == (3, n)
+        assert batch.sink_gather.shape == (3,)
+        assert batch.image_batch.shape[1:] == (
+            dataset.images.n_channels,
+            dataset.config.image_size,
+            dataset.config.image_size,
+        )
 
     def test_unlabeled_group_rejected_for_training(self, dataset):
         norm = FeatureNormalizer().fit(dataset.all_vector_rows())
@@ -97,4 +102,4 @@ class TestBatching:
         if not unlabeled:
             pytest.skip("no unlabeled groups in this layout")
         with pytest.raises(ValueError, match="unlabeled"):
-            make_batch(dataset, unlabeled[:1], norm, with_targets=True)
+            make_batch(dataset, [unlabeled[0].index], norm)

@@ -15,6 +15,8 @@ from repro.obs import metrics
 from repro.obs.logging import set_log_sink
 from repro.split import split_design
 
+from identity_gather import materialised_images
+
 
 @pytest.fixture(scope="module")
 def split():
@@ -67,7 +69,7 @@ class TestTensorShapes:
         cfg = AttackConfig.tiny()
         ds = SplitDataset(split, cfg)
         group = ds.groups[0]
-        src, sink = ds.group_images(group)
+        (src,), (sink,) = materialised_images(ds, [group.index])
         for i, vpp in enumerate(group.vpps[: cfg.n_candidates]):
             frag = split.fragment(vpp.source_fragment)
             expected = ds.images.image(frag, vpp.source_vp)
@@ -82,17 +84,14 @@ class TestBatchSlicing:
         cfg = AttackConfig.tiny()
         ds = SplitDataset(split, cfg)
         norm = FeatureNormalizer().fit(ds.all_vector_rows())
-        groups = ds.groups[:4]
-        batch = make_batch(ds, groups, norm, with_targets=False)
+        groups = ds.trainable_groups()[:4]
+        batch = make_batch(ds, [g.index for g in groups], norm)
         expected_vec = np.stack([norm.transform(g.vec) for g in groups])
         assert np.array_equal(batch.vec, expected_vec)
-        pairs = [ds.group_images(g) for g in groups]
-        assert np.array_equal(
-            batch.src_images, np.stack([p[0] for p in pairs])
-        )
-        assert np.array_equal(
-            batch.sink_images, np.stack([p[1] for p in pairs])
-        )
+        assert np.array_equal(batch.targets, [g.target for g in groups])
+        src, sink = materialised_images(ds, [g.index for g in groups])
+        assert np.array_equal(batch.image_batch[batch.src_gather], src)
+        assert np.array_equal(batch.image_batch[batch.sink_gather], sink)
 
 
 class TestDiskCache:

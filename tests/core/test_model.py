@@ -6,6 +6,8 @@ import pytest
 from repro.core import AttackConfig, N_VECTOR_FEATURES, SplitNet
 from repro.nn import softmax_regression_loss
 
+from identity_gather import stacked_forward
+
 
 def tiny_inputs(cfg, split_layer, batch=2, seed=0):
     rng = np.random.default_rng(seed)
@@ -23,14 +25,14 @@ class TestForwardShapes:
         cfg = AttackConfig.tiny()
         net = SplitNet(cfg, split_layer=3)
         vec, src, sink = tiny_inputs(cfg, 3)
-        scores = net(vec, src, sink)
+        scores = stacked_forward(net, vec, src, sink)
         assert scores.shape == (2, cfg.n_candidates)
 
     def test_two_class_scores_shape(self):
         cfg = AttackConfig.tiny().with_(loss="two_class")
         net = SplitNet(cfg, split_layer=3)
         vec, src, sink = tiny_inputs(cfg, 3)
-        scores = net(vec, src, sink)
+        scores = stacked_forward(net, vec, src, sink)
         assert scores.shape == (2, cfg.n_candidates, 2)
 
     def test_vec_only_mode(self):
@@ -110,10 +112,10 @@ class TestGradients:
         cfg = AttackConfig.tiny()
         net = SplitNet(cfg, split_layer=1)
         vec, src, sink = tiny_inputs(cfg, 1, seed=3)
-        scores = net(vec, src, sink)
+        scores = stacked_forward(net, vec, src, sink)
         _, grad = softmax_regression_loss(scores, np.array([0, 1]))
         net.zero_grad()
-        net.backward(grad)
+        net.backward_deduplicated(grad)
         with_grad = sum(
             1 for p in net.parameters() if np.abs(p.grad).max() > 0
         )
@@ -127,15 +129,15 @@ class TestGradients:
         vec, src, sink = tiny_inputs(cfg, 1, seed=4)
         targets = np.array([2, 3])
         opt = Adam(net.parameters(), lr=1e-2)
-        first = net(vec, src, sink)
+        first = stacked_forward(net, vec, src, sink)
         loss0, grad = softmax_regression_loss(first, targets)
-        net.backward(grad)
+        net.backward_deduplicated(grad)
         opt.step()
         for _ in range(10):
             opt.zero_grad()
-            scores = net(vec, src, sink)
+            scores = stacked_forward(net, vec, src, sink)
             loss, grad = softmax_regression_loss(scores, targets)
-            net.backward(grad)
+            net.backward_deduplicated(grad)
             opt.step()
         assert loss < loss0
 
@@ -146,11 +148,11 @@ class TestGradients:
         cfg = AttackConfig.tiny()
         net = SplitNet(cfg, split_layer=1)
         vec, src, sink = tiny_inputs(cfg, 1, seed=5)
-        scores = net(vec, src, sink)
+        scores = stacked_forward(net, vec, src, sink)
         grad = np.zeros_like(scores)
         grad[0, 0] = 1.0
         net.zero_grad()
-        net.backward(grad)
+        net.backward_deduplicated(grad)
         tower_grads_one = [p.grad.copy() for p in net.tower.parameters()]
         assert any(np.abs(g).max() > 0 for g in tower_grads_one)
 
@@ -160,12 +162,14 @@ class TestPersistence:
         cfg = AttackConfig.tiny()
         net = SplitNet(cfg, split_layer=3)
         vec, src, sink = tiny_inputs(cfg, 3, seed=6)
-        expected = net(vec, src, sink)
+        expected = stacked_forward(net, vec, src, sink)
         path = tmp_path / "net.npz"
         net.save(path)
         other = SplitNet(cfg.with_(seed=99), split_layer=3)
         other.load(path)
-        np.testing.assert_allclose(other(vec, src, sink), expected, rtol=1e-5)
+        np.testing.assert_allclose(
+            stacked_forward(other, vec, src, sink), expected, rtol=1e-5
+        )
 
     def test_layer_summary_mentions_table2(self):
         net = SplitNet(AttackConfig.paper(), split_layer=3)

@@ -1,21 +1,24 @@
-"""Unique-image deduplicated *training* vs the materialised reference.
+"""Unique-image training vs the materialised form, as an identity gather.
 
-The dedup path (``make_batch(dedup_images=True)`` +
-``SplitNet.forward_deduplicated``/``backward_deduplicated``) is
-mathematically identical to the reference path: gathering shared
-embedding rows forward and scatter-adding their gradients backward is
-the transpose pair of the duplicate-stacking it replaces.
+Training batches (``make_batch``) carry each distinct image of the batch
+once plus gather indices, and ``SplitNet.forward_deduplicated``/
+``backward_deduplicated`` gather shared embedding rows forward and
+scatter-add their gradients backward.  The materialised form (every
+slot its own image) is the same computation on an identity gather
+(``tests/identity_gather.py``), which these tests use as the reference.
 
 What is asserted at which strength:
 
 * **bitwise** where the arrays are structurally the same — batch
   reconstruction (``image_batch[src_gather]`` vs the materialised
-  stacks) and the ``np.add.at`` scatter vs an explicit per-slot loop;
-* **float64 gradcheck** for the mathematical identity of the full
-  gather/scatter backward, with deliberately duplicated gather rows;
-* **calibrated allclose** for cross-path loss curves and final
-  weights: the two paths issue different-shaped tower gemms (U unique
-  vs B*n+B duplicated rows), and BLAS kernel dispatch varies with the
+  images) and the ``np.add.at`` scatter vs an explicit per-slot loop;
+* **float64 gradcheck** of every parameter gradient through the
+  production ``forward_deduplicated``/``backward_deduplicated`` pair,
+  with deliberately duplicated gather rows and a sink row that is also
+  a source row, so the scatter-add must sum shared rows;
+* **calibrated allclose** for loss curves and final weights against
+  the identity gather: the two issue different-shaped tower gemms (U
+  unique vs B*n+B rows), and BLAS kernel dispatch varies with the
   matrix shape, so per-step results agree only to within float32 ulps
   (measured ~1e-7 relative) which Adam then amplifies over epochs
   (measured <=6e-4 absolute on weights after 3 tiny epochs; asserted
@@ -28,7 +31,7 @@ import pytest
 from repro.core import AttackConfig, DLAttack
 from repro.core import attack as attack_mod
 from repro.core.attack import _concat_batches
-from repro.core.dataset import Batch, SplitDataset, make_batch
+from repro.core.dataset import SplitDataset, make_batch
 from repro.core.model import SplitNet
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
@@ -38,6 +41,8 @@ from repro.nn import (
     two_class_loss,
 )
 from repro.split import split_design
+
+from identity_gather import materialised_batch, materialised_images
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,11 @@ def dataset(split):
     return SplitDataset(split, AttackConfig.tiny(), use_disk_cache=False)
 
 
+@pytest.fixture(scope="module")
+def labelled(dataset):
+    return np.flatnonzero(dataset.tensors.targets >= 0)
+
+
 def _fitted(cfg, dataset):
     attack = DLAttack(cfg, split_layer=3)
     attack.normalizer.fit(dataset.all_vector_rows())
@@ -58,54 +68,47 @@ def _fitted(cfg, dataset):
 
 
 class TestBatchAssembly:
-    def test_dedup_batch_reconstructs_bitwise(self, dataset):
-        groups = [g for g in dataset.groups if g.target is not None][:6]
-        ref = make_batch(dataset, groups, _fitted(
-            AttackConfig.tiny(), dataset).normalizer, True)
-        ded = make_batch(dataset, groups, _fitted(
-            AttackConfig.tiny(), dataset).normalizer, True,
-            dedup_images=True)
-        assert ded.src_images is None and ded.image_batch is not None
+    def test_dedup_batch_reconstructs_bitwise(self, dataset, labelled):
+        idx = labelled[:6]
+        norm = _fitted(AttackConfig.tiny(), dataset).normalizer
+        batch = make_batch(dataset, idx, norm)
+        src, sink = materialised_images(dataset, idx)
+        np.testing.assert_array_equal(batch.image_batch[batch.src_gather], src)
+        np.testing.assert_array_equal(batch.image_batch[batch.sink_gather], sink)
         np.testing.assert_array_equal(
-            ded.image_batch[ded.src_gather], ref.src_images
+            batch.vec, norm.transform(dataset.tensors.vec[idx])
         )
         np.testing.assert_array_equal(
-            ded.image_batch[ded.sink_gather], ref.sink_images
+            batch.targets, dataset.tensors.targets[idx]
         )
-        np.testing.assert_array_equal(ded.vec, ref.vec)
-        np.testing.assert_array_equal(ded.targets, ref.targets)
 
-    def test_dedup_batch_is_smaller(self, dataset):
+    def test_dedup_batch_is_smaller(self, dataset, labelled):
         """The point of the exercise: far fewer tower images."""
-        groups = [g for g in dataset.groups if g.target is not None]
         norm = _fitted(AttackConfig.tiny(), dataset).normalizer
-        ref = make_batch(dataset, groups, norm, True)
-        ded = make_batch(dataset, groups, norm, True, dedup_images=True)
-        slots = ref.src_images.shape[0] * ref.src_images.shape[1] + \
-            ref.sink_images.shape[0]
-        assert ded.image_batch.shape[0] < slots / 2
+        batch = make_batch(dataset, labelled, norm)
+        slots = batch.src_gather.size + batch.sink_gather.size
+        assert batch.image_batch.shape[0] < slots / 2
 
-    def test_unique_rows_and_index_dtypes(self, dataset):
-        groups = [g for g in dataset.groups if g.target is not None][:6]
+    def test_unique_rows_and_index_dtypes(self, dataset, labelled):
         norm = _fitted(AttackConfig.tiny(), dataset).normalizer
-        ded = make_batch(dataset, groups, norm, True, dedup_images=True)
+        ded = make_batch(dataset, labelled[:6], norm)
         flat = ded.image_batch.reshape(ded.image_batch.shape[0], -1)
         assert len(np.unique(flat, axis=0)) == flat.shape[0]
         assert ded.src_gather.dtype == np.intp
         assert ded.sink_gather.dtype == np.intp
 
-    def test_concat_batches_offsets_gather_indices(self, dataset):
-        groups = [g for g in dataset.groups if g.target is not None][:8]
+    def test_concat_batches_offsets_gather_indices(self, dataset, labelled):
+        idx = labelled[:8]
         norm = _fitted(AttackConfig.tiny(), dataset).normalizer
-        b1 = make_batch(dataset, groups[:4], norm, True, dedup_images=True)
-        b2 = make_batch(dataset, groups[4:], norm, True, dedup_images=True)
+        b1 = make_batch(dataset, idx[:4], norm)
+        b2 = make_batch(dataset, idx[4:], norm)
         merged = _concat_batches([b1, b2])
-        ref = make_batch(dataset, groups, norm, True)
+        src, sink = materialised_images(dataset, idx)
         np.testing.assert_array_equal(
-            merged.image_batch[merged.src_gather], ref.src_images
+            merged.image_batch[merged.src_gather], src
         )
         np.testing.assert_array_equal(
-            merged.image_batch[merged.sink_gather], ref.sink_images
+            merged.image_batch[merged.sink_gather], sink
         )
 
 
@@ -130,17 +133,22 @@ class TestScatterSemantics:
         np.testing.assert_array_equal(fast, slow)
 
 
+def _small_net():
+    cfg = AttackConfig(
+        n_candidates=2, image_size=5, image_scales=(1,),
+        conv_channels=(3,), convs_per_stage=1, fc_width=8,
+        image_head_width=4, vector_res_blocks=1, merged_res_blocks=1,
+    )
+    return SplitNet(cfg, split_layer=1)
+
+
 class TestGradcheck:
-    def test_backward_to_embeddings_with_duplicated_gathers(self):
-        """float64 finite-difference check through the full dedup
-        backward — gather rows deliberately repeat so the scatter-add
-        really sums gradients of shared unique images."""
-        cfg = AttackConfig(
-            n_candidates=2, image_size=5, image_scales=(1,),
-            conv_channels=(3,), convs_per_stage=1, fc_width=8,
-            image_head_width=4, vector_res_blocks=1, merged_res_blocks=1,
-        )
-        net = SplitNet(cfg, split_layer=1)
+    def test_backward_deduplicated_with_duplicated_gathers(self):
+        """float64 finite-difference check of every parameter gradient
+        through the production forward/backward pair.  Source image 1
+        is gathered twice and sink images 2 and 0 are source images
+        too, so the scatter-add must sum gradients of shared rows."""
+        net = _small_net()
         for p in net.parameters():
             p.value = p.value.astype(np.float64)
             p.grad = np.zeros_like(p.value)
@@ -149,7 +157,6 @@ class TestGradcheck:
         images = rng.standard_normal((3, 2, 5, 5))
         src_gather = np.array([[0, 1], [1, 2]], dtype=np.intp)
         sink_gather = np.array([2, 0], dtype=np.intp)  # reused as srcs too
-        width = cfg.fc_width
 
         def forward():
             return net.forward_deduplicated(
@@ -158,58 +165,41 @@ class TestGradcheck:
 
         def backward(weights):
             forward()
-            grad_src, grad_sink = net.backward_to_embeddings(weights)
-            grad_emb = np.zeros((images.shape[0], width), dtype=np.float64)
-            np.add.at(
-                grad_emb, src_gather.reshape(-1),
-                grad_src.reshape(-1, width),
-            )
-            np.add.at(grad_emb, sink_gather, grad_sink)
-            return {"images": net.tower.backward(grad_emb)}
+            net.backward_deduplicated(weights)
+            return {}
 
-        check_callable_gradients(
-            forward, backward, {"images": images},
-            parameters=list(net.parameters()),
+        errors = check_callable_gradients(
+            forward, backward, {}, parameters=list(net.parameters()),
         )
+        assert any(name.startswith("conv1_1") for name in errors)
 
 
 class TestTrainingParity:
     @pytest.mark.parametrize("loss", ["softmax", "two_class"])
-    def test_single_step_gradients_match(self, loss, dataset):
+    def test_single_step_gradients_match(self, loss, dataset, labelled):
         loss_fn = (
             softmax_regression_loss if loss == "softmax" else two_class_loss
         )
         grads = {}
-        for dedup in (True, False):
+        for build in (make_batch, materialised_batch):
             cfg = AttackConfig.tiny().with_(loss=loss)
             attack = _fitted(cfg, dataset)
             attack.model.train()
-            groups = [g for g in dataset.groups if g.target is not None][:6]
-            batch = make_batch(
-                dataset, groups, attack.normalizer, True, dedup_images=dedup
+            batch = build(dataset, labelled[:6], attack.normalizer)
+            scores = attack.model.forward_deduplicated(
+                batch.vec, batch.image_batch,
+                batch.src_gather, batch.sink_gather,
             )
-            if dedup:
-                scores = attack.model.forward_deduplicated(
-                    batch.vec, batch.image_batch,
-                    batch.src_gather, batch.sink_gather,
-                )
-            else:
-                scores = attack.model(
-                    batch.vec, batch.src_images, batch.sink_images
-                )
             _, grad = loss_fn(scores, batch.targets, batch.mask)
             for p in attack.model.parameters():
                 p.grad[...] = 0.0
-            if dedup:
-                attack.model.backward_deduplicated(grad)
-            else:
-                attack.model.backward(grad)
-            grads[dedup] = {
+            attack.model.backward_deduplicated(grad)
+            grads[build] = {
                 p.name: p.grad.copy() for p in attack.model.parameters()
             }
-        for name in grads[True]:
+        for name in grads[make_batch]:
             np.testing.assert_allclose(
-                grads[True][name], grads[False][name],
+                grads[make_batch][name], grads[materialised_batch][name],
                 rtol=1e-4, atol=1e-5, err_msg=name,
             )
 
@@ -219,14 +209,8 @@ class TestTrainingParity:
         cfg = AttackConfig.tiny().with_(loss=loss, epochs=3)
         for dedup in (True, False):
             if not dedup:
-                # The materialised path (the one vector-only configs
-                # train on), forced for an image config.
                 monkeypatch.setattr(
-                    attack_mod,
-                    "make_batch",
-                    lambda *args, **kw: make_batch(
-                        *args, **{**kw, "dedup_images": False}
-                    ),
+                    attack_mod, "make_batch", materialised_batch
                 )
             attack = DLAttack(cfg, split_layer=3)
             log = attack.train([split])
@@ -242,33 +226,29 @@ class TestTrainingParity:
 
 
 class TestModeGuards:
-    def _net(self):
-        cfg = AttackConfig(
-            n_candidates=2, image_size=5, image_scales=(1,),
-            conv_channels=(3,), convs_per_stage=1, fc_width=8,
-            image_head_width=4, vector_res_blocks=1, merged_res_blocks=1,
-        )
-        return cfg, SplitNet(cfg, split_layer=1)
-
-    def test_plain_backward_rejects_dedup_forward(self):
-        _, net = self._net()
+    def _forward_dedup(self, net):
         rng = np.random.default_rng(0)
         vec = rng.standard_normal((2, 2, 27)).astype(np.float32)
         images = rng.standard_normal((3, 2, 5, 5)).astype(np.float32)
-        scores = net.forward_deduplicated(
+        return vec, net.forward_deduplicated(
             vec, images,
             np.array([[0, 1], [1, 2]], dtype=np.intp),
             np.array([2, 0], dtype=np.intp),
         )
-        with pytest.raises(RuntimeError, match="embeddings"):
+
+    def test_plain_backward_rejects_dedup_forward(self):
+        net = _small_net()
+        _, scores = self._forward_dedup(net)
+        with pytest.raises(RuntimeError, match="backward_deduplicated"):
             net.backward(np.ones_like(scores))
 
-    def test_dedup_backward_rejects_plain_forward(self):
-        _, net = self._net()
-        rng = np.random.default_rng(0)
-        vec = rng.standard_normal((2, 2, 27)).astype(np.float32)
-        src = rng.standard_normal((2, 2, 2, 5, 5)).astype(np.float32)
-        sink = rng.standard_normal((2, 2, 5, 5)).astype(np.float32)
-        scores = net(vec, src, sink)
+    def test_dedup_backward_rejects_embedding_forward(self):
+        """Only the activations of a forward_deduplicated can be
+        back-propagated to the tower, even when a forward_from_embeddings
+        ran after one."""
+        net = _small_net()
+        vec, _ = self._forward_dedup(net)
+        emb = np.zeros((2, 2, net.config.fc_width), dtype=np.float32)
+        scores = net.forward_from_embeddings(vec, emb, emb[:, 0])
         with pytest.raises(RuntimeError, match="forward_deduplicated"):
             net.backward_deduplicated(np.ones_like(scores))

@@ -16,8 +16,10 @@ construction rather than by measurement on one BLAS:
 The end-to-end oracle runs the old path (full ``tower.backward``,
 ``np.where`` LeakyReLU, NCHW folds, ``np.pad``) by patching those
 pieces back in, and compares every parameter gradient after a few
-accumulated steps on c432's committed feature tensors, through both
-``backward_deduplicated`` and the stacked ``backward``.
+accumulated steps on c432's committed feature tensors, through
+``backward_deduplicated`` on two batch forms: the unique-image batch
+training uses ("dedup") and the materialised one ("stacked": every slot
+its own image, built as an identity gather by ``tests/identity_gather.py``).
 
 The only values on which the ``LeakyReLU`` forms differ are signalling
 NaNs, which no float operation produces: ``np.maximum`` passes one
@@ -53,6 +55,7 @@ from repro.nn.conv_utils import (
 )
 from repro.pipeline import clear_memo, default_train_names, get_split
 
+from identity_gather import materialised_batch
 from test_conv_kmajor_oracle import stride1_convs
 
 COMMITTED = Path(__file__).resolve().parents[2] / ".repro_cache"
@@ -296,23 +299,19 @@ def committed(request):
 
 def accumulated_grads(model, normalizer, dataset, dedup, steps=3, per_step=5):
     """Parameter gradients after ``steps`` accumulated training steps."""
+    build = make_batch if dedup else materialised_batch
     for p in model.parameters():
         p.grad[...] = 0.0
     for step in range(steps):
-        groups = [SimpleNamespace(index=i)
-                  for i in range(step * per_step, (step + 1) * per_step)]
-        batch = make_batch(dataset, groups, normalizer, True, dedup_images=dedup)
-        if dedup:
-            scores = model.forward_deduplicated(
-                batch.vec, batch.image_batch, batch.src_gather, batch.sink_gather
-            )
-        else:
-            scores = model(batch.vec, batch.src_images, batch.sink_images)
+        batch = build(
+            dataset, np.arange(step * per_step, (step + 1) * per_step),
+            normalizer,
+        )
+        scores = model.forward_deduplicated(
+            batch.vec, batch.image_batch, batch.src_gather, batch.sink_gather
+        )
         _, grad = softmax_regression_loss(scores, batch.targets, batch.mask)
-        if dedup:
-            model.backward_deduplicated(grad)
-        else:
-            model.backward(grad)
+        model.backward_deduplicated(grad)
     return {p.name: p.grad.copy() for p in model.parameters()}
 
 
@@ -321,7 +320,7 @@ def test_training_batches_hold_two_or_more_images(layer, monkeypatch):
     """Every training batch's tower batch holds two or more images, so
     the one-image bias order of the module docstring never arises in
     training.  A batch holds at least one labelled group; checked here
-    for each labelled group of c432 alone, deduplicated and stacked."""
+    for each labelled group of c432 alone."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(COMMITTED))
     clear_memo()
     try:
@@ -331,15 +330,11 @@ def test_training_batches_hold_two_or_more_images(layer, monkeypatch):
     attack = DLAttack(CONFIG, layer)
     attack.load(ArtifactStore(COMMITTED).path(
         "weights", weights_key(CONFIG, layer, default_train_names())))
-    labelled = [g for g in dataset.groups if dataset.tensors.targets[g.index] >= 0]
-    assert labelled
-    for group in labelled:
-        dedup = make_batch(dataset, [group], attack.normalizer, True,
-                           dedup_images=True)
-        stacked = make_batch(dataset, [group], attack.normalizer, True)
-        assert dedup.image_batch.shape[0] >= 2
-        assert stacked.src_images.shape[:2] == (1, CONFIG.n_candidates)
-        assert stacked.sink_images.shape[0] == 1
+    labelled = np.flatnonzero(dataset.tensors.targets >= 0)
+    assert labelled.size
+    for index in labelled:
+        batch = make_batch(dataset, [index], attack.normalizer)
+        assert batch.image_batch.shape[0] >= 2
 
 
 @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "stacked"])
