@@ -25,6 +25,7 @@ from ..nn import (
     two_class_loss,
     two_class_probabilities,
 )
+from ..nn.blocks import map_blocks
 from ..split.metrics import AttackResult, ccr, collect_extra, report_extra
 from ..split.split import SplitLayout
 from .artifacts import artifact_store, embeddings_key, weights_digest
@@ -246,6 +247,10 @@ class DLAttack:
         a deterministic function of (weights, image table) and is
         disk-cached next to the feature tensors, keyed by both.
 
+        ``_SCORE_CHUNK``-group chunks are scored on the block pool
+        (:func:`repro.nn.blocks.map_blocks`), each with the same gemms
+        as a serial loop, and assigned in group order.
+
         Runs under eval mode.  A model in training mode (per-epoch
         validation calls this mid-training) is switched back on exit:
         leaving it in eval mode would silently disable dropout for every
@@ -262,19 +267,22 @@ class DLAttack:
                 self._embedding_table(dataset)
                 if self.config.use_images else None
             )
-            assignment: dict[int, int] = {}
-            chunk, n_groups = self._SCORE_CHUNK, len(dataset.groups)
-            for start in range(0, n_groups, chunk):
-                idx = np.arange(start, min(start + chunk, n_groups))
+
+            def score(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+                idx = np.arange(start, stop)
                 vec = self.normalizer.transform(tensors.vec[idx])
                 if emb_table is None:
-                    scores = self.model(vec)
-                else:
-                    scores = self.model.forward_from_embeddings(
-                        vec,
-                        emb_table[tensors.src_index[idx]],
-                        emb_table[tensors.sink_index[idx]],
-                    )
+                    return idx, self.model(vec)
+                return idx, self.model.forward_from_embeddings(
+                    vec,
+                    emb_table[tensors.src_index[idx]],
+                    emb_table[tensors.sink_index[idx]],
+                )
+
+            assignment: dict[int, int] = {}
+            for idx, scores in map_blocks(
+                score, len(dataset.groups), self._SCORE_CHUNK
+            ):
                 self._assign_choices(dataset, idx, scores, assignment)
             return assignment
         finally:
@@ -285,10 +293,11 @@ class DLAttack:
     # activation memory the tower caches per call.
     _EMBED_CHUNK = 64
     # Groups scored per forward call.  Dense folds a call's groups into
-    # one gemm per fc layer; 32 groups (480 rows at n = 15) scored the
-    # warm-service cells fastest of 16, 32, 48, 64 and 128.  The
-    # training batch (``config.batch_groups``) plays no part here.
-    _SCORE_CHUNK = 32
+    # one gemm per fc layer, and the chunks run on the block pool; 24
+    # groups (360 rows at n = 15) scored the warm-service cells fastest
+    # of 16, 24, 32, 48 and 64 on two cores.  The training batch
+    # (``config.batch_groups``) plays no part here.
+    _SCORE_CHUNK = 24
 
     def _embedding_table(self, dataset: SplitDataset) -> np.ndarray:
         """(U, fc_width) tower embeddings of the unique-image table,

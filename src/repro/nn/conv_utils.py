@@ -33,7 +33,7 @@ the NCHW fold :func:`_col2im_general` (the test oracle) strides
 ``C*k*k`` floats.  :func:`conv_backward_blocks` with
 ``input_grad=False`` runs neither that gemm nor the fold.
 
-Three kinds of equality hold, and they rest on different grounds:
+Four kinds of equality hold, and they rest on different grounds:
 
 * **Blocked vs reference mode: structural, on any BLAS.**  The
   ``"reference"`` mode (the test oracle) materialises the full K-major
@@ -73,6 +73,14 @@ Three kinds of equality hold, and they rest on different grounds:
   which sums in another order, so its conv bias gradients now differ
   in the last bits.  Training never builds a one-image tower batch (a
   labelled group renders its sink and a true source).
+* **Pool vs inline: structural.**  :func:`conv_forward_blocks` and
+  :func:`conv_backward_blocks` run their blocks on the per-process
+  block pool (:func:`repro.nn.blocks.map_blocks`) instead of a serial
+  loop.  Each block issues the same gemms on the same operands; the
+  forward parts are concatenated, and the weight and bias partials
+  added onto zeros, in block order, and each block folds its input
+  gradient into its own disjoint slice.  No float operation changes
+  operands or order (``tests/nn/test_block_pool_oracle.py``).
 
 Layout convention is NCHW throughout.
 """
@@ -80,6 +88,8 @@ Layout convention is NCHW throughout.
 from __future__ import annotations
 
 import numpy as np
+
+from .blocks import map_blocks
 
 # Target elements per cols block for the blocked stride<kernel matmul:
 # 256k f32 elements = 1 MiB, small enough to stay cache-resident while
@@ -288,14 +298,14 @@ def conv_forward_blocks(
     ``get_block(a, b)`` must return the contiguous K-major cols
     ``(C*k*k, rows)`` for images ``[a, b)``.  Both execution modes call
     this with the same ``ipb``, so every gemm has identical shape,
-    layout and operand values in each mode.
+    layout and operand values in each mode.  The blocks run on
+    :func:`map_blocks`; their parts are concatenated in block order.
     """
     if n_images == 0:
         return np.zeros((0, weight.shape[1]), dtype=weight.dtype)
-    parts = []
-    for a in range(0, n_images, ipb):
-        b = min(a + ipb, n_images)
-        parts.append(get_block(a, b).T @ weight + bias)
+    parts = map_blocks(
+        lambda a, b: get_block(a, b).T @ weight + bias, n_images, ipb
+    )
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
@@ -315,30 +325,37 @@ def conv_backward_blocks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Backward over the same block partition as the forward.
 
-    Returns ``(weight_grad, bias_grad, grad_padded)``; per-block
-    partial sums accumulate in block order, so the reference and
-    blocked modes produce identical bits here too.  ``grad_padded`` is
-    an NCHW view of a channels-last buffer that each block's
-    ``g_b @ W.T`` is folded into (:func:`fold_nhwc`), or None when
-    ``input_grad`` is false and neither the gemm nor the fold runs.
+    Returns ``(weight_grad, bias_grad, grad_padded)``.  The blocks run
+    on :func:`map_blocks` and return their partial sums, which the
+    caller adds in block order, so the reference and blocked modes,
+    and the pool and a serial loop, produce identical bits here too.
+    ``grad_padded`` is an NCHW view of a channels-last buffer that each
+    block's ``g_b @ W.T`` is folded into (:func:`fold_nhwc`), its own
+    disjoint ``[a, b)`` slice, or None when ``input_grad`` is false and
+    neither the gemm nor the fold runs.
     """
     _, c, hp, wp = padded_shape
-    wg = np.zeros_like(weight)
-    bg = np.zeros(weight.shape[1], dtype=weight.dtype)
     grad_nhwc = (
         np.zeros((n_images, hp, wp, c), dtype=g2d.dtype) if input_grad else None
     )
-    for a in range(0, n_images, ipb):
-        b = min(a + ipb, n_images)
+
+    def block(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         g_b = g2d[a * rows_per_image : b * rows_per_image]
         # A one-image g2d is an F-ordered view; with it the K-major
         # weight gradient is not bitwise the row-major one on AVX-512.
-        wg += get_block(a, b) @ np.ascontiguousarray(g_b)
-        bg += g_b.sum(axis=0)
+        wg_b = get_block(a, b) @ np.ascontiguousarray(g_b)
+        bg_b = g_b.sum(axis=0)
         if grad_nhwc is not None:
             fold_nhwc(
                 g_b @ weight.T, grad_nhwc[a:b], out_h, out_w, kernel, stride
             )
+        return wg_b, bg_b
+
+    wg = np.zeros_like(weight)
+    bg = np.zeros(weight.shape[1], dtype=weight.dtype)
+    for wg_b, bg_b in map_blocks(block, n_images, ipb):
+        wg += wg_b
+        bg += bg_b
     if grad_nhwc is None:
         return wg, bg, None
     return wg, bg, grad_nhwc.transpose(0, 3, 1, 2)

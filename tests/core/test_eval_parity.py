@@ -81,7 +81,9 @@ def committed(request, monkeypatch):
 
 
 def scores_and_embeddings(attack, arrays):
-    """The production inference sequence of ``_select_deduplicated``."""
+    """The inference sequence of ``DLAttack._select_dataset``, run
+    serially: embed the unique images in ``_EMBED_CHUNK`` batches, then
+    score ``_SCORE_CHUNK`` groups per call from the embedding table."""
     model, chunk = attack.model, DLAttack._EMBED_CHUNK
     table = arrays["image_table"].astype(np.float32)
     emb = np.concatenate([
