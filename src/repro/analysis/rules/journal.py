@@ -12,8 +12,8 @@ in-memory view and every recovery.
 Statically, per module:
 
 * the *emitted* set is every dict literal carrying an ``"event"`` key
-  with a constant string value (the shape ``_journal`` /
-  ``atomic_append_line`` consume);
+  with a constant string value (the shape ``JobQueue._emit`` /
+  :meth:`repro.core.journal.Journal.append` consume);
 * the *handled* set comes from any function that binds a variable via
   ``<x>.get("event")`` and compares it against string constants
   (``==`` chains and ``in (...)`` memberships) — the fold's dispatch.

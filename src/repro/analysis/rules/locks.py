@@ -1,7 +1,7 @@
 """``lock-discipline``: shared state touched under a lock must always be.
 
 The invariant (queue leases, the metrics registry, the trace buffer,
-the storage backend): an attribute a class ever mutates inside
+the results store): an attribute a class ever mutates inside
 ``with self._lock:`` is *guarded*, and every other mutation of it must
 also hold the lock — one unlocked write is a silent race that the
 crash-safe lease protocol cannot survive.  This is the stdlib-``ast``

@@ -616,7 +616,7 @@ class Client:
 
         Accepts the store's filter vocabulary plus ``limit`` /
         ``offset`` / ``order`` pagination; both travel to the service
-        as query parameters and push down into its storage backend.
+        as query parameters and are applied by its results store.
         """
         if (
             isinstance(self.backend, ServiceBackend)

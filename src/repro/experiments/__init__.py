@@ -46,7 +46,6 @@ from .reports import (
     table3_report,
 )
 from .spec import ATTACK_KINDS, DEFENSE_KINDS, DefenseSpec, ScenarioSpec
-from .storage import StorageBackend
 from .store import ResultsStore, ScenarioRecord, record_matches, results_dir
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "ScenarioGrid",
     "ScenarioRecord",
     "ScenarioSpec",
-    "StorageBackend",
     "SweepPlan",
     "SweepResult",
     "attach_node_telemetry",

@@ -1,15 +1,13 @@
 """Scenario records and the shared filter vocabulary.
 
 :class:`ScenarioRecord` is the one row type of the results subsystem:
-every storage backend persists it, every report formatter reads it and
+the results store persists it, every report formatter reads it and
 every HTTP response serialises it.  :func:`record_matches` is the one
-filter vocabulary shared by :meth:`ResultsStore.query`, the storage
-backends' pushed-down queries, the HTTP ``/results`` endpoint and
-:meth:`repro.api.ResultSet.query`.
+filter vocabulary shared by :meth:`ResultsStore.query`, the HTTP
+``/results`` endpoint and :meth:`repro.api.ResultSet.query`.
 
-Kept separate from :mod:`repro.experiments.store` so the storage
-backends (:mod:`repro.experiments.storage`) and the store facade can
-both import these without a cycle.
+Kept apart from :mod:`repro.experiments.store`, which folds these rows
+out of its journal, so the row type reads on its own.
 """
 
 from __future__ import annotations

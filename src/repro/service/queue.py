@@ -1,10 +1,11 @@
 """Persistent job queue: append-only JSONL journal with leased claims.
 
 A *job* is one sweep submission — a list of scenario specs plus a
-priority.  Every state transition is one appended journal line (see
-:func:`repro.core.atomic.atomic_append_line`: single ``O_APPEND``
-writes, so concurrent appenders interleave whole events, never bytes).
-The in-memory view is a pure fold over the journal, which buys:
+priority.  Every state transition is one event appended to a
+:class:`repro.core.journal.Journal` (single ``O_APPEND`` writes, so
+concurrent appenders interleave whole events, never bytes).  The
+in-memory view is a pure fold of the journal's events through
+:meth:`JobQueue._apply`, which buys:
 
 * **crash-resume** — a restarted queue (``recover=True``, the default)
   replays the journal and re-queues jobs whose claim *lease* has
@@ -34,13 +35,16 @@ The in-memory view is a pure fold over the journal, which buys:
   ``repro serve --compact`` forces a full sweep).
 
 Cross-process visibility works by tailing the journal: every public
-entry point re-folds any lines other writers appended since the last
-read (a single ``stat`` when nothing changed).  A torn trailing line —
-a writer that died mid-append — is sealed off with a newline at
-recovery so later appends cannot glue onto it, and is skipped by the
-fold.  Mutations are *append-then-read-back*: the event is appended
-first and the journal tail re-folded, so two processes racing to claim
-the same job both converge on whichever claim line landed first.
+entry point folds the events other writers appended since the last
+read (a single ``stat`` when nothing changed; a journal another
+process compacted is folded again from its first event).  A torn
+trailing line — a writer that died mid-append — is sealed off with a
+newline at recovery and before every append, so later events cannot
+glue onto it, and is skipped by the fold.  Mutations are
+*append-then-read-back*: the event is appended first and the journal
+tail re-folded, so two processes racing to claim the same job both
+converge on whichever claim line landed first.  A journal file that
+disappears leaves the folded state as it was.
 
 Timestamps (lease expiry, ``finished_at``) come from an injectable
 ``clock`` (default :func:`time.time`), which is how the fault-injection
@@ -54,14 +58,13 @@ variable relocates both).
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from ..core.atomic import atomic_append_line, atomic_write_text
+from ..core.journal import Journal
 from ..experiments.spec import ScenarioSpec
 from ..experiments.store import ResultsStore, results_dir
 from ..obs import metrics as obs_metrics
@@ -224,15 +227,14 @@ class JobQueue:
         self._jobs: dict[str, Job] = {}
         self._seq = itertools.count()
         self._arrival: dict[str, int] = {}  # FIFO order within a priority
-        self._offset = 0  # journal bytes folded so far
-        self._ino = -1  # detects compaction's os.replace
+        self.journal = Journal(self.path)
         self._lock = threading.RLock()
         self.changed = threading.Condition(self._lock)
         #: bumped with every ``changed`` notification (see _notify)
         self.changes = 0
         with self._lock:
             if recover:
-                self._seal_torn_tail()
+                self.journal.seal()
             self._refresh()
             if recover:
                 self._recover()
@@ -243,80 +245,36 @@ class JobQueue:
         self.changed.notify_all()
 
     # -- journal -------------------------------------------------------
-    def _append(self, event: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # A peer may have died mid-append since we last looked; without
-        # the seal our own event would glue onto its torn fragment and
-        # both lines would be lost.  (Two processes sealing at once
-        # just yields harmless blank lines — the fold skips them.)
-        self._seal_torn_tail()
-        atomic_append_line(self.path, json.dumps(event, sort_keys=True))
-
-    def _journal(self, event: dict) -> None:
+    def _emit(self, event: dict) -> None:
         """Append one event, then fold the tail back in (read-back).
 
         Folding — not direct in-memory mutation — is what applies the
         event, so this process and every other journal reader run the
         exact same fold in the exact same order and converge.
         """
-        self._append(event)
+        self.journal.append(event)
         self._refresh()
 
-    def _seal_torn_tail(self) -> None:
-        """Isolate a torn trailing line left by a writer that died
-        mid-append: without the sealing newline, the next append would
-        glue onto the fragment and corrupt *its own* event too."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                torn = handle.read(1) != b"\n"
-        except OSError:
-            return
-        if torn:
-            # A single-byte append sealing the torn tail cannot itself
-            # tear; the O_APPEND machinery is overkill for one newline.
-            with open(self.path, "ab") as handle:  # repro: ignore[atomic-write]
-                handle.write(b"\n")
-
     def _refresh(self) -> None:
-        """Fold journal lines appended since the last read (cheap: one
+        """Fold the events appended since the last read (cheap: one
         ``stat`` when nothing changed).  A rewritten journal (another
-        process compacted it: new inode, or shrunk) triggers a full
-        re-fold from byte zero."""
-        try:
-            stat = os.stat(self.path)
-        except OSError:
-            return
-        if stat.st_ino != self._ino or stat.st_size < self._offset:
+        process compacted it) is folded again from its first event."""
+        started = time.perf_counter()
+        reset, events = self.journal.tail()
+        if reset:
             self._jobs.clear()
             self._arrival.clear()
             self._seq = itertools.count()
-            self._offset = 0
-            self._ino = stat.st_ino
-        if stat.st_size <= self._offset:
+        if events is None:
             return
+        for event in events:
+            try:
+                self._apply(event)
+            except (TypeError, KeyError):
+                continue  # foreign event: the journal stays usable
         # Only real folds are timed; the stat-and-return path above
         # runs on every public entry point and must stay unmetered.
-        fold_started = time.perf_counter()
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            chunk = handle.read()
-        complete = chunk.rfind(b"\n")
-        if complete < 0:
-            return  # torn tail in progress: fold it once the line lands
-        for raw in chunk[:complete].split(b"\n"):
-            if not raw.strip():
-                continue
-            try:
-                self._apply(json.loads(raw))
-            except (json.JSONDecodeError, TypeError, KeyError,
-                    UnicodeDecodeError):
-                continue  # torn/foreign line: the journal stays usable
-        self._offset += complete + 1
-        _queue_metrics()[4].observe(time.perf_counter() - fold_started)
+        _queue_metrics()[4].observe(time.perf_counter() - started)
 
     def _apply(self, event: dict) -> None:
         """Fold one journal event into the in-memory state.
@@ -406,7 +364,7 @@ class JobQueue:
         for job in list(self._jobs.values()):
             if not job.lease_expired(now):
                 continue
-            self._journal({
+            self._emit({
                 "event": "requeue",
                 "job_id": job.job_id,
                 "from_worker": job.claimed_by,
@@ -493,7 +451,7 @@ class JobQueue:
                 job.nodes_total = 0
                 job.reused = len(hashes)
                 job.finished_at = job.submitted_at
-            self._journal({"event": "submit", "job": job.to_dict()})
+            self._emit({"event": "submit", "job": job.to_dict()})
             self._notify()
             outcome = "from_store" if from_store else "queued"
             _queue_metrics()[0].labels(outcome=outcome).inc()
@@ -538,7 +496,7 @@ class JobQueue:
                     queued,
                     key=lambda j: (-j.priority, self._arrival[j.job_id]),
                 )
-                self._journal({
+                self._emit({
                     "event": "claim",
                     "job_id": job.job_id,
                     "worker": worker,
@@ -583,7 +541,7 @@ class JobQueue:
             ):
                 _queue_metrics()[3].labels(outcome="lost").inc()
                 return False
-            self._journal({
+            self._emit({
                 "event": "heartbeat",
                 "job_id": job_id,
                 "worker": worker,
@@ -620,7 +578,7 @@ class JobQueue:
         reused: int = 0,
     ) -> None:
         with self._lock:
-            self._journal({
+            self._emit({
                 "event": "progress", "job_id": job_id,
                 "nodes_done": nodes_done, "nodes_total": nodes_total,
                 "reused": reused,
@@ -629,7 +587,7 @@ class JobQueue:
 
     def complete(self, job_id: str, telemetry: dict | None = None) -> None:
         with self._lock:
-            self._journal({
+            self._emit({
                 "event": "done", "job_id": job_id,
                 "telemetry": telemetry or {}, "at": self.clock(),
             })
@@ -642,7 +600,7 @@ class JobQueue:
 
     def fail(self, job_id: str, error: str) -> None:
         with self._lock:
-            self._journal({
+            self._emit({
                 "event": "failed", "job_id": job_id, "error": error,
                 "at": self.clock(),
             })
@@ -667,7 +625,7 @@ class JobQueue:
             job = self._jobs.get(job_id)
             if job is None or job.done:
                 return False
-            self._journal({
+            self._emit({
                 "event": "cancel", "job_id": job_id, "at": self.clock(),
             })
             self._notify()
@@ -703,29 +661,14 @@ class JobQueue:
                 if not job.done or job.finished_at >= cutoff
             ]
             dropped = len(self._jobs) - len(keep)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            snapshot = "".join(
-                json.dumps(
-                    {"event": "submit", "job": job.to_dict()},
-                    sort_keys=True,
-                ) + "\n"
-                for job in keep
-            )
-            atomic_write_text(self.path, snapshot)
+            self.journal.rewrite([
+                {"event": "submit", "job": job.to_dict()} for job in keep
+            ])
             self._jobs = {job.job_id: job for job in keep}
             self._seq = itertools.count()
             self._arrival = {
                 job.job_id: next(self._seq) for job in keep
             }
-            # The snapshot is already folded into memory: fast-forward
-            # the tail pointer past exactly the bytes we wrote, onto
-            # the fresh inode (an append racing in right behind the
-            # replace stays beyond the pointer for the next refresh).
-            try:
-                self._ino = os.stat(self.path).st_ino
-                self._offset = len(snapshot.encode("utf-8"))
-            except OSError:
-                self._ino, self._offset = -1, 0
             self._notify()
             return dropped
 

@@ -38,8 +38,9 @@ framework, no new dependencies.  Endpoints:
     Query the results store (:meth:`ResultsStore.query`) without
     running anything.  ``limit`` / ``offset`` / ``order=asc|desc``
     paginate; the response carries ``records`` plus the ``total``
-    match count, and the filters/pagination push down into the storage
-    backend instead of materialising the full history per request.
+    match count, and the store streams the filters/pagination over its
+    latest-wins view instead of materialising the full history per
+    request.
 
 ``GET /healthz``
     Liveness + queue/scheduler counters, including one entry per

@@ -1,13 +1,13 @@
-"""Storage-backend conformance suite.
+"""Results-store conformance suite.
 
-The :class:`~repro.experiments.storage.StorageBackend` behind
 :class:`ResultsStore` must present the observable store semantics —
 latest-wins, the shared filter vocabulary, pagination, cross-process
-reload pickup — plus the JSONL journal's durability rules (torn
-tails, rewritten files) and its refusal to open a SQLite file.
+reload pickup — plus its journal's durability rules (torn tails,
+truncation, rewritten files) and its refusal to open a SQLite file.
 """
 
 import json
+import random
 import threading
 
 import pytest
@@ -19,7 +19,7 @@ from repro.experiments import (
     ScenarioSpec,
     record_matches,
 )
-from repro.experiments.storage.jsonl import SQLITE_HEADER
+from repro.experiments.store import SQLITE_HEADER
 
 
 def spec_for(i, **kw):
@@ -55,12 +55,6 @@ def jsonl_id(request):
 
 @pytest.mark.usefixtures("jsonl_id")
 class TestConformance:
-    def test_kind_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        store = ResultsStore()
-        assert store.backend.kind == "jsonl"
-        assert store.path == tmp_path / "experiments.jsonl"
-
     def test_latest_wins_and_history(self, tmp_path):
         store = store_for(tmp_path)
         spec = spec_for(0)
@@ -189,17 +183,60 @@ class TestJournalDurability:
             handle.write('ed"}\n')
         assert fresh.reload() == 1
 
+    def test_add_after_torn_tail_is_visible(self, tmp_path):
+        """A writer that died mid-append left a torn last line: the
+        next add seals it off instead of gluing onto the fragment."""
+        store = store_for(tmp_path)
+        store.add(record_for(spec_for(0), ccr=1.0))
+        with open(store.path, "a") as handle:
+            handle.write('{"scenario_hash": "truncat')
+        spec = spec_for(1, design="after")
+        store.add(record_for(spec, ccr=2.0))
+        assert store.get(spec).ccr == 2.0
+        fresh = store_for(tmp_path)
+        assert fresh.get(spec).ccr == 2.0
+        assert [r.ccr for r in fresh.history()] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_truncation_at_any_byte_folds_the_prefix(self, seed, tmp_path):
+        rng = random.Random(4000 + seed)
+        writer = store_for(tmp_path, "full")
+        for i in range(rng.randrange(2, 8)):
+            spec = spec_for(i, design=f"d{rng.randrange(4)}")
+            writer.add(record_for(spec, ccr=float(i)))
+        text = writer.path.read_bytes()
+        cut = rng.randrange(len(text))
+        path = tmp_path / "cut.jsonl"
+        path.write_bytes(text[:cut])
+        # The fold equals a clean fold of the complete-line prefix: the
+        # torn final line contributes nothing.
+        clean = tmp_path / "clean.jsonl"
+        clean.write_bytes(text[:text.rfind(b"\n", 0, cut) + 1])
+
+        def view(store):
+            return [json.dumps(r.to_dict(), sort_keys=True)
+                    for r in store.history()]
+
+        store = ResultsStore(path)
+        assert view(store) == view(ResultsStore(clean))
+        # ...and the next add lands as a record of its own.
+        spec = spec_for(9, design="next")
+        store.add(record_for(spec, ccr=9.0))
+        assert store.get(spec).ccr == 9.0
+        assert ResultsStore(path).get(spec).ccr == 9.0
+        assert view(ResultsStore(path)) == view(store)
+
     def test_incremental_reload_is_tail_only(self, tmp_path):
         writer = store_for(tmp_path)
         reader = store_for(tmp_path)
         for i in range(5):
             writer.add(record_for(spec_for(i, design=f"d{i}")))
         assert reader.reload() == 5
-        offset_after = reader.backend._offset
+        offset_after = reader.journal.offset
         assert offset_after == store_for(tmp_path).path.stat().st_size
         writer.add(record_for(spec_for(9, design="late")))
         assert reader.reload() == 1
-        assert reader.backend._offset > offset_after
+        assert reader.journal.offset > offset_after
 
     def test_replaced_journal_resets(self, tmp_path):
         writer = store_for(tmp_path)

@@ -5,8 +5,8 @@ The streaming acceptance bar: an SSE client consuming
 ``submitted``, ``node``, ``progress`` and exactly one terminal event —
 pushed as the scheduler works, with no client-side polling loop.  The
 pagination bar: ``GET /results`` answers with ``records`` + ``total``
-and honours ``limit``/``offset``/``order`` (pushed down into the
-storage backend).
+and honours ``limit``/``offset``/``order`` (applied by the results
+store).
 """
 
 import threading
@@ -23,15 +23,15 @@ TINY = {"design": "tiny_a", "split_layer": 3, "attack": "proximity"}
 
 
 @pytest.fixture(params=["jsonl"])
-def service(request, monkeypatch, tmp_path):
-    """A live service over a JSONL results store."""
+def service(monkeypatch, tmp_path):
+    """A live service over a JSONL results store (the ``[jsonl]`` id
+    keeps the tests' names stable)."""
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
     clear_memo()
     svc = AttackService(
-        store=ResultsStore(tmp_path / f"experiments.{request.param}"),
+        store=ResultsStore(tmp_path / "experiments.jsonl"),
         queue_path=tmp_path / "queue.jsonl",
     )
-    assert svc.store.backend.kind == request.param
     svc.scheduler.poll_interval = 0.01
     svc.start()
     yield svc
@@ -41,8 +41,9 @@ def service(request, monkeypatch, tmp_path):
 
 def test_live_job_streams_every_kind(monkeypatch, tmp_path):
     """The streaming acceptance bar, made deterministic: the stream is
-    open *before* the scheduler starts, so every scheduler-side event
-    of the live job must arrive through the bus — push, not poll."""
+    open *before* the scheduler starts (the consumer has received the
+    replayed ``submitted`` event), so every scheduler-side event of the
+    live job must arrive through the bus — push, not poll."""
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
     clear_memo()
     svc = AttackService(
@@ -59,14 +60,20 @@ def test_live_job_streams_every_kind(monkeypatch, tmp_path):
         out = client.submit(specs=[TINY])
         job_id = out["job"]["job_id"]
         events = []
-        consumer = threading.Thread(
-            target=lambda: events.extend(
-                client.events(job_id, timeout=60.0)
-            )
-        )
+        subscribed = threading.Event()
+
+        def consume():
+            for event in client.events(job_id, timeout=60.0):
+                events.append(event)
+                subscribed.set()
+
+        consumer = threading.Thread(target=consume)
         consumer.start()
-        # The job cannot progress until the scheduler exists, so the
-        # subscriber is guaranteed to be listening for every event.
+        # The server subscribes to the job's events before it replays
+        # ``submitted``, and the job cannot progress until a scheduler
+        # runs: once the first event is in, the consumer is listening
+        # for every event that follows.
+        assert subscribed.wait(60.0)
         for scheduler in svc.schedulers:
             scheduler.start()
         consumer.join(60.0)
