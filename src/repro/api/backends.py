@@ -27,12 +27,11 @@ import json
 from dataclasses import dataclass, field
 
 from ..core.artifacts import cache_root
-from ..experiments.engine import run_sweep
+from ..experiments.engine import node_event, run_sweep
 from ..experiments.store import ResultsStore, ScenarioRecord
 from ..obs import trace as obs_trace
 from ..obs.logging import log_event
 from ..pipeline.parallel import Executor, sweep_executor
-from .events import engine_hooks
 
 #: Job lifecycle states, mirroring the service queue's vocabulary.
 TERMINAL_STATES = ("done", "failed", "cancelled")
@@ -111,7 +110,7 @@ class LocalBackend(Backend):
     ``REPRO_WORKERS``; ``0`` = all cores) and reused across every job
     this backend runs, exactly like the attack service's scheduler
     reuses its pool.  With one worker (the default) no process pool is
-    ever started: the plan runs level by level in the calling process,
+    ever started: the plan's ready batches run in the calling process,
     bit-identical run to run.
     """
 
@@ -136,7 +135,13 @@ class LocalBackend(Backend):
             raise JobCancelled(f"job {job.job_id or ''} was cancelled")
         executor = self._get_executor()
         job.status = "running"
-        progress, on_node = engine_hooks(job._emit)
+
+        def progress(message: str) -> None:
+            job._emit("message", message)
+
+        def on_node(node, value, seconds: float) -> None:
+            job._emit("node", **node_event(node, seconds))
+
         if cache_root() is None and any(
             spec.attack == "dl" for spec in job.specs
         ):

@@ -13,17 +13,18 @@ Event kinds
     The job entered its backend (for the service backend this carries
     the server-assigned job id and submit outcome).
 ``message``
-    Free-form progress text (sweep plans, executor batch counters —
-    whatever the engine's ``progress`` hook would have printed).
+    Free-form progress text (sweep plans, node counters — whatever the
+    engine's ``progress`` hook would have printed).
 ``node``
     One DAG node finished; ``data`` holds ``node_kind``, ``key`` and
-    in-worker ``seconds`` (the engine's ``on_node`` hook, and the
-    closest the service's counters can be mapped onto).
+    in-worker ``seconds``, as built by
+    :func:`repro.experiments.engine.node_event` for both backends.
 ``progress``
     Per-job node counters changed (``nodes_done``/``nodes_total``/
-    ``reused``) — the service stream's native shape; the in-process
-    backends emit one summary after the sweep finishes (their
-    node-level granularity arrives as ``node`` events instead).
+    ``reused``) — the service stream's native shape, journaled as each
+    node settles; the local backend emits one summary after the sweep
+    finishes (its node-level granularity arrives as ``node`` events,
+    each published as its node completes).
 ``done`` / ``failed`` / ``cancelled``
     Terminal job states.
 """
@@ -55,29 +56,6 @@ class ProgressEvent:
     def __str__(self) -> str:
         prefix = f"[{self.job_id}] " if self.job_id else ""
         return f"{prefix}{self.kind}: {self.message}"
-
-
-def engine_hooks(emit):
-    """Adapt an emit function to the sweep engine's two native hooks.
-
-    Returns ``(progress, on_node)`` suitable for
-    :func:`repro.experiments.run_sweep`: progress strings become
-    ``message`` events, completed nodes become ``node`` events.
-    """
-
-    def progress(message: str) -> None:
-        emit("message", message)
-
-    def on_node(node, value, seconds: float) -> None:
-        emit(
-            "node",
-            f"{node.kind} node done in {seconds:.2f}s",
-            node_kind=node.kind,
-            key=repr(node.key),
-            seconds=seconds,
-        )
-
-    return progress, on_node
 
 
 def message_printer(prefix: str = "  .. ", write=print):

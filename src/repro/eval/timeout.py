@@ -6,12 +6,13 @@ a scaled budget.  Two enforcement strategies:
 
 * **SIGALRM** — interrupts pure-Python code (networkx is pure Python)
   on the main thread of Unix processes: cheap and in-process;
-* **forked subprocess** — everywhere else (worker threads, platforms
+* **forked subprocess** — everywhere else (non-main threads, platforms
   without ``SIGALRM``): the callable runs in a forked child that is
   *terminated* at the deadline, so the budget is enforced rather than
-  merely observed.  This is the path the multi-process pipeline
-  executor's non-main-thread callers take; the child's return value
-  (or exception) is shipped back over a pipe.
+  merely observed; the child's return value (or exception) is shipped
+  back over a pipe.  Executor pool workers run nodes on their own main
+  thread and take the SIGALRM path; the fork path serves the attack
+  service's scheduler threads, which run serial batches in-thread.
 
 Only if neither strategy is available (no ``fork`` start method, e.g.
 Windows) does the call degrade to run-to-completion with an after-the-

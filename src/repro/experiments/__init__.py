@@ -23,7 +23,6 @@ from .engine import (
     PlanNode,
     SweepPlan,
     SweepResult,
-    attach_node_telemetry,
     evaluate_scenario,
     plan_sweep,
     run_node,
@@ -60,7 +59,6 @@ __all__ = [
     "ScenarioSpec",
     "SweepPlan",
     "SweepResult",
-    "attach_node_telemetry",
     "build_grid",
     "candidate_lists_report",
     "defense_report",

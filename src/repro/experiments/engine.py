@@ -23,19 +23,22 @@ artifact already exists, and eval nodes are dropped when the results
 store already holds their scenario hash (resume-from-store).  A fully
 cached sweep therefore schedules nothing and returns near-instantly.
 
-Execution runs the DAG level by level (every node whose dependencies
-are satisfied) through a :class:`repro.pipeline.parallel.Executor`, so
-``workers=`` / ``REPRO_WORKERS`` fan each level out over processes
-coordinated by the disk cache; pass ``executor=`` to reuse one pool
-across sweeps (the attack service does).  Every node is timed in its
-worker (:func:`run_node`), and evaluation records carry the telemetry
-in ``extra["telemetry"]``.
+One driver, :class:`SweepDriver`, executes plans: it dispatches every
+ready node (all dependencies done) as one batch through a
+:class:`repro.pipeline.parallel.Executor`, so ``workers=`` /
+``REPRO_WORKERS`` fan each batch out over processes coordinated by the
+disk cache.  :func:`run_sweep` drains a fresh driver over one plan (its
+ready batches are the plan's topological levels); the service
+scheduler keeps one across its jobs.  Every node is timed in its
+worker (:func:`run_node`) and settled as it returns: evaluation
+records carry the telemetry in ``extra["telemetry"]``.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from ..attacks.network_flow import NetworkFlowAttack
@@ -83,24 +86,6 @@ class SweepPlan:
     # artifact nodes dropped because their cached artifact already
     # exists, by kind — the cache-hit side of the telemetry ratio
     pruned: dict[str, int] = field(default_factory=dict)
-
-    def levels(self) -> list[list[PlanNode]]:
-        """Topological levels: every node after all of its deps."""
-        depth: dict[NodeKey, int] = {}
-
-        def node_depth(key: NodeKey) -> int:
-            if key not in depth:
-                node = self.nodes[key]
-                deps = [d for d in node.deps if d in self.nodes]
-                depth[key] = 1 + max(
-                    (node_depth(d) for d in deps), default=-1
-                )
-            return depth[key]
-
-        out: dict[int, list[PlanNode]] = {}
-        for key in self.nodes:
-            out.setdefault(node_depth(key), []).append(self.nodes[key])
-        return [out[level] for level in sorted(out)]
 
     def counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -262,14 +247,13 @@ _NODE_JOBS = {
 def run_node(kind: str, payload: tuple):
     """Execute one plan node; returns (kind, value, wall-clock seconds).
 
-    Module-level and picklable, so it is the unit both ``run_sweep``
-    levels and the service scheduler dispatch through the executor;
-    the timing is measured inside the worker process.
+    Module-level and picklable, so it is the unit the driver
+    dispatches through the executor; the timing is measured inside the
+    worker process.
     """
     started = time.perf_counter()
     value = _NODE_JOBS[kind](*payload)
     return kind, value, time.perf_counter() - started
-
 
 
 # -- planning -----------------------------------------------------------
@@ -432,31 +416,245 @@ def plan_sweep(
 # -- execution ----------------------------------------------------------
 
 
-def attach_node_telemetry(
-    record: ScenarioRecord, seconds: float, plan: SweepPlan
-) -> None:
-    """Write per-node wall-clock + plan cache stats into ``extra``.
-
-    ``node_seconds`` is the eval node's in-worker
-    :func:`time.perf_counter` delta; ``started_at`` is a best-effort
-    epoch (stamped at attach time minus the delta — the node ran in a
-    worker process, which has no shared epoch to report) kept solely
-    for correlating records with logs and traces.
-    ``cache_hits``/``planned`` describe the sweep plan the node ran in
-    (artifact nodes pruned because their cached artifact existed vs
-    scheduled), which is what the ``repro report`` cache-hit ratio
-    aggregates.
-    """
-    telemetry = {
-        "node_seconds": seconds,
-        "started_at": round(time.time() - seconds, 6),
-        "planned": plan.counts(),
-        "cache_hits": dict(plan.pruned),
+def node_event(node: PlanNode, seconds: float) -> dict:
+    """The ``node`` progress event of one finished node, as keyword
+    arguments of an ``emit(kind, message, **data)`` call."""
+    return {
+        "message": f"{node.kind} node done in {seconds:.2f}s",
+        "node_kind": node.kind,
+        "key": repr(node.key),
+        "seconds": seconds,
     }
-    trace_id = obs_trace.current_trace_id()
-    if trace_id:
-        telemetry["trace_id"] = trace_id
-    record.extra["telemetry"] = telemetry
+
+
+def _safe_node(run, kind: str, payload: tuple):
+    """``run(kind, payload)`` plus its failure, returned instead of
+    raised — ``None`` or ``(exception, formatted traceback)`` — so one
+    bad node cannot take down a batch shared across owners."""
+    try:
+        return (*run(kind, payload), None)
+    except Exception as err:  # repro: ignore[broad-except] failure returns as data (exception + traceback) for the driver to triage
+        return kind, None, 0.0, (err, traceback.format_exc(limit=8))
+
+
+class PlanOwner:
+    """One plan in a :class:`SweepDriver` table (a ``run_sweep`` call
+    or a service job) and the node keys it still waits on.  Its node
+    spans land in ``trace_id`` under ``root_span_id`` (None: under the
+    span ambient when the node settles)."""
+
+    priority = 0
+
+    def __init__(self, owner_id: str, plan: SweepPlan,
+                 trace_id: str | None = None,
+                 root_span_id: str | None = None):
+        self.owner_id = owner_id
+        self.plan = plan
+        self.remaining: set[NodeKey] = set(plan.nodes)
+        self.node_seconds: dict[str, float] = {}
+        self.executed = 0
+        self.trace_id = trace_id
+        self.root_span_id = root_span_id
+
+
+class SweepDriver:
+    """The one DAG driver: a merged table of plan nodes, drained in
+    ready batches through an :class:`~repro.pipeline.parallel.Executor`.
+
+    Node keys are content-derived, so owners wanting the same artifact
+    share one node, and a key the driver executed never runs again.
+    A ready batch is every node whose dependencies are done or pruned
+    from the table, highest owner priority first, else in insertion
+    order.  Each node settles as the executor hands it back: a
+    ``node.<kind>`` span per owner, the eval record (telemetry
+    attached) appended to ``store``, ``on_node(node, value, seconds)``
+    (``value`` is that record for eval nodes), then the owners'
+    progress.  A failed node fails its owners: here that raises its
+    exception; the service scheduler overrides the owner hooks.
+    """
+
+    worker_id: str | None = None
+
+    def __init__(self, executor: Executor, store: ResultsStore | None = None,
+                 on_node=None):
+        self.executor = executor
+        self.store = store
+        self.on_node = on_node
+        self._active: dict[str, PlanOwner] = {}
+        # _nodes/_owners hold only not-yet-executed nodes of active
+        # owners; _done is the driver-lifetime memo of executed keys
+        # (small: one tuple per artifact ever built).
+        self._nodes: dict[NodeKey, PlanNode] = {}
+        self._owners: dict[NodeKey, list[str]] = {}
+        self._done: set[NodeKey] = set()
+        self._failed: dict[NodeKey, tuple] = {}
+        self.nodes_executed = 0
+
+    def _admit(self, owner: PlanOwner):
+        """Add ``owner``'s plan; returns the failure of a plan node that
+        already failed here (registering nothing), else None."""
+        for key in owner.plan.nodes:
+            if key in self._failed:
+                return self._failed[key]
+        for key, node in owner.plan.nodes.items():
+            if key in self._done:
+                owner.remaining.discard(key)
+            else:
+                self._nodes.setdefault(key, node)
+                self._owners.setdefault(key, []).append(owner.owner_id)
+        if owner.remaining:
+            self._active[owner.owner_id] = owner
+        return None
+
+    def _ready_batch(self) -> list[PlanNode]:
+        ready = [
+            node
+            for key, node in self._nodes.items()
+            if key not in self._done
+            and key not in self._failed
+            and all(
+                dep in self._done or dep not in self._nodes
+                for dep in node.deps
+            )
+        ]
+        # Highest-priority owner first; insertion order breaks ties.
+        ready.sort(key=self._priority, reverse=True)
+        return ready
+
+    def _priority(self, node: PlanNode) -> int:
+        return max(
+            (
+                self._active[j].priority
+                for j in self._owners.get(node.key, ())
+                if j in self._active
+            ),
+            default=0,
+        )
+
+    def _run_batch(self, batch: list[PlanNode], run=run_node) -> None:
+        nodes = iter(batch)
+        self.executor.map(
+            _safe_node,
+            [(run, node.kind, node.payload) for node in batch],
+            on_result=lambda outcome: self._settle(next(nodes), *outcome),
+        )
+
+    def _settle(self, node: PlanNode, kind, value, seconds, failure):
+        owners = [
+            self._active[j]
+            for j in self._owners.get(node.key, ())
+            if j in self._active
+        ]
+        self._node_settled(node, seconds, failure, owners)
+        # Nodes are timed inside worker processes, so their spans are
+        # synthesized here from the returned delta.
+        attrs = {"kind": node.kind}
+        if self.worker_id:
+            attrs["worker"] = self.worker_id
+        for owner in owners:
+            obs_trace.record_span(
+                f"node.{node.kind}", seconds,
+                trace_id=owner.trace_id, parent_id=owner.root_span_id,
+                status="ok" if failure is None else "error", **attrs,
+            )
+        if failure is not None:
+            self._failed[node.key] = failure
+            for owner in self._drop(self._owners.get(node.key, ())):
+                self._owner_failed(owner, failure)
+            return
+        self._done.add(node.key)
+        self.nodes_executed += 1
+        if node.kind == "eval":
+            value = self._eval_record(value, seconds, owners)
+            if self.store is not None:
+                self.store.add(value)
+        if self.on_node is not None:
+            # After the node's durable effects, before its progress:
+            # a service hook raising here leaves the job journal
+            # exactly as a mid-sweep kill would.
+            self.on_node(node, value, seconds)
+        for owner in owners:
+            if node.key in owner.remaining:
+                owner.remaining.discard(node.key)
+                owner.executed += 1
+                owner.node_seconds[repr(node.key)] = seconds
+                self._progressed(owner, node, seconds)
+                if not owner.remaining:
+                    self._finish(owner)
+        # Executed nodes leave the ready-scan tables; the _done memo
+        # is all later plans need, and the scan stays O(outstanding)
+        # instead of O(everything ever run).
+        self._nodes.pop(node.key, None)
+        self._owners.pop(node.key, None)
+
+    def _eval_record(self, value: dict, seconds: float, owners):
+        """The stored record, with ``extra["telemetry"]``: the node's
+        in-worker seconds, a best-effort ``started_at`` epoch (now minus
+        the delta; kept only to correlate records with logs and
+        traces), and the first owner's plan counts and cache hits (what
+        the ``repro report`` cache-hit ratio aggregates) and trace."""
+        record = ScenarioRecord.from_dict(value)
+        plan = owners[0].plan if owners else SweepPlan(specs=[])
+        telemetry = {
+            "node_seconds": seconds,
+            "started_at": round(time.time() - seconds, 6),
+            "planned": plan.counts(),
+            "cache_hits": dict(plan.pruned),
+        }
+        if owners and owners[0].trace_id:
+            telemetry["trace_id"] = owners[0].trace_id
+        record.extra["telemetry"] = telemetry
+        return record
+
+    def _drop(self, owner_ids) -> list[PlanOwner]:
+        """Deactivate owners; their nodes leave the table unless an
+        active owner still wants them.  Returns the dropped owners."""
+        dropped = [
+            self._active.pop(i) for i in list(owner_ids) if i in self._active
+        ]
+        for owner in dropped:
+            for owners in self._owners.values():
+                if owner.owner_id in owners:
+                    owners.remove(owner.owner_id)
+        if dropped:
+            self._prune_unreachable()
+        return dropped
+
+    def _prune_unreachable(self) -> None:
+        # Nodes no remaining active owner wants (transitively) must
+        # leave the ready scan, or it would re-dispatch work nobody is
+        # waiting for.
+        closure = {
+            k for owner in self._active.values() for k in owner.remaining
+        }
+        changed = True
+        while changed:
+            changed = False
+            for k in list(closure):
+                node = self._nodes.get(k)
+                if node is None:
+                    continue
+                for dep in node.deps:
+                    if dep in self._nodes and dep not in closure:
+                        closure.add(dep)
+                        changed = True
+        for k in list(self._nodes):
+            if k not in closure and k not in self._done:
+                del self._nodes[k]
+                self._owners.pop(k, None)
+
+    # -- owner hooks, overridden by the service scheduler -------------
+    def _node_settled(self, node, seconds, failure, owners) -> None:
+        pass
+
+    def _progressed(self, owner: PlanOwner, node, seconds) -> None:
+        pass
+
+    def _finish(self, owner: PlanOwner) -> None:
+        self._active.pop(owner.owner_id, None)
+
+    def _owner_failed(self, owner: PlanOwner, failure: tuple) -> None:
+        raise failure[0]  # every node settled before it is stored
 
 
 def run_sweep(
@@ -471,94 +669,61 @@ def run_sweep(
     """Plan and execute a sweep, recording results into ``store``.
 
     Results for all specs — freshly evaluated and store-resolved — come
-    back in spec order.  ``workers`` / ``REPRO_WORKERS`` fan each DAG
-    level out over worker processes (requires the disk cache: workers
+    back in spec order.  ``workers`` / ``REPRO_WORKERS`` fan each ready
+    batch out over worker processes (requires the disk cache: workers
     share artifacts through it); pass a long-lived
     :class:`~repro.pipeline.parallel.Executor` instead to reuse one
     pool across many sweeps.  ``on_node(node, value, seconds)`` fires
-    after every completed node — the service scheduler's telemetry
-    hook.
+    as each node completes, after its record is stored (``value`` is
+    that record for eval nodes).  A failing node raises its own
+    exception once every node settled before it is stored.
     """
     # One trace per sweep: a child of the ambient context when the
     # scheduler (or an HTTP request) is already tracing, a fresh root
     # trace for plain CLI/library runs — `repro trace` works on both.
     with obs_trace.span("sweep.run", specs=len(specs)) as sweep_span:
-        return _run_sweep_traced(
-            specs, store, workers, progress, resume, executor, on_node,
-            sweep_span,
+        with obs_trace.span("sweep.plan"):
+            plan = plan_sweep(specs, store=store, resume=resume)
+        by_hash = {r.scenario_hash: r for r in plan.reused}
+        result = SweepResult(
+            specs=plan.specs, records=[], reused=len(plan.reused)
         )
+        if progress and plan.nodes:
+            counts = sorted(plan.counts().items())
+            progress(
+                "sweep plan: " + ", ".join(f"{v} {k}" for k, v in counts)
+                + " nodes"
+                + (f" ({result.reused} scenarios from store)"
+                   if result.reused else "")
+            )
 
+        def collect(node: PlanNode, value, seconds: float) -> None:
+            if node.kind == "train":
+                # Keyed by (layer, weight key): a grid may train several
+                # configs at one layer (e.g. figure5).
+                result.train_seconds[(node.payload[0], node.key[2])] = value
+            elif node.kind == "eval":
+                by_hash[value.scenario_hash] = value
+                result.executed += 1
+            if progress:
+                progress(f"sweep nodes: {driver.nodes_executed}/"
+                         f"{len(plan.nodes)} done")
+            if on_node is not None:
+                on_node(node, value, seconds)
 
-def _run_sweep_traced(
-    specs, store, workers, progress, resume, executor, on_node,
-    sweep_span,
-) -> SweepResult:
-    with obs_trace.span("sweep.plan"):
-        plan = plan_sweep(specs, store=store, resume=resume)
-    owns_executor = executor is None
-    if owns_executor:
-        executor = sweep_executor(workers)
-    by_hash: dict[str, ScenarioRecord] = {
-        r.scenario_hash: r for r in plan.reused
-    }
-    result = SweepResult(
-        specs=plan.specs, records=[], reused=len(plan.reused)
-    )
-
-    levels = plan.levels()
-    if progress and plan.nodes:
-        counts = plan.counts()
-        progress(
-            "sweep plan: "
-            + ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-            + f" nodes in {len(levels)} levels"
-            + (f" ({result.reused} scenarios from store)" if result.reused else "")
-        )
-    executed = 0
-    try:
-        for depth, level in enumerate(levels):
-            with obs_trace.span(
-                "sweep.level", depth=depth, nodes=len(level)
-            ):
-                outcomes = executor.map(
-                    run_node,
-                    [(node.kind, node.payload) for node in level],
-                    progress=progress,
-                    label="sweep nodes",
-                )
-                level_records: list[ScenarioRecord] = []
-                for node, (kind, value, seconds) in zip(level, outcomes):
-                    # Nodes are timed inside worker processes, so their
-                    # spans are synthesized here from the returned delta.
-                    obs_trace.record_span(
-                        f"node.{kind}", seconds, kind=kind
-                    )
-                    if kind == "train":
-                        # Keyed by (layer, weight key): a grid
-                        # may train several configs at one layer (e.g.
-                        # figure5).
-                        result.train_seconds[
-                            (node.payload[0], node.key[2])
-                        ] = value
-                    elif kind == "eval":
-                        record = ScenarioRecord.from_dict(value)
-                        attach_node_telemetry(record, seconds, plan)
-                        by_hash[record.scenario_hash] = record
-                        level_records.append(record)
-                    if on_node is not None:
-                        on_node(node, value, seconds)
-                # Persist level by level, so an interrupt or a failing
-                # node in a later level loses at most the in-flight
-                # level — finished evaluations resume from the store on
-                # re-run.
-                if store is not None:
-                    store.add_many(level_records)
-                executed += len(level_records)
-    finally:
-        if owns_executor:
-            executor.close()
-    result.executed = executed
-    result.records = [by_hash[s.scenario_hash] for s in plan.specs]
-    sweep_span.set_attr("executed", executed)
-    sweep_span.set_attr("reused", result.reused)
-    return result
+        # A fresh one-owner table per call, so resume=False re-runs
+        # every planned node; node spans land under the batch span.
+        driver = SweepDriver(executor or sweep_executor(workers), store,
+                             on_node=collect)
+        driver._admit(PlanOwner("sweep", plan, obs_trace.current_trace_id()))
+        try:
+            while batch := driver._ready_batch():
+                with obs_trace.span("sweep.batch", nodes=len(batch)):
+                    driver._run_batch(batch)
+        finally:
+            if executor is None:
+                driver.executor.close()
+        result.records = [by_hash[s.scenario_hash] for s in plan.specs]
+        sweep_span.set_attr("executed", result.executed)
+        sweep_span.set_attr("reused", result.reused)
+        return result

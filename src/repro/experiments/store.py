@@ -140,8 +140,9 @@ class ResultsStore:
         _refuse_sqlite_file(self.journal.path)
         self._history: list[ScenarioRecord] = []
         self._latest: dict[str, ScenarioRecord] = {}
-        # Serialises appends and folds: two threads reading the same
-        # tail would both fold it.
+        # Serialises appends, folds and the query scans: two threads
+        # reading the same tail would both fold it, and a scan of
+        # _latest must not see a fold change its size.
         self._lock = threading.Lock()
         self.reload()
 
@@ -227,7 +228,7 @@ class ResultsStore:
         filters = self._filters(**filters)
         if not filters:
             return len(self._latest)
-        with timed_op("count"):
+        with timed_op("count"), self._lock:
             return sum(
                 1
                 for r in self._latest.values()
@@ -302,7 +303,7 @@ class ResultsStore:
         """Latest records matching every filter, in first-seen scenario
         order (``order="desc"`` reverses), cut to ``limit``/``offset``."""
         check_order(order)
-        with timed_op("query"):
+        with timed_op("query"), self._lock:
             # Stream instead of materialising the whole latest-wins
             # view: a shallow page must not cost O(history).
             records = (

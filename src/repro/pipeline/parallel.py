@@ -1,7 +1,7 @@
 """Multi-process fan-out for the experiment pipeline.
 
-The DAG sweep engine (:mod:`repro.experiments.engine`) runs each plan
-level — layout, features, train and eval nodes — as a batch of
+The DAG sweep engine (:mod:`repro.experiments.engine`) runs each batch
+of ready plan nodes — layout, features, train and eval nodes — as
 independent jobs whose only shared state is the deterministic disk
 cache of :mod:`repro.pipeline.flow` (layouts as DEF text, trained
 models as npz, feature tensors under ``features/``).  That makes
@@ -123,10 +123,11 @@ class Executor:
         self,
         fn: Callable[..., Any],
         jobs: Sequence[tuple],
-        progress: Callable[[str], None] | None = None,
-        label: str = "jobs",
+        on_result: Callable[[Any], None] | None = None,
     ) -> list[Any]:
-        """Run ``fn(*job)`` for every job, preserving job order."""
+        """Run ``fn(*job)`` for every job, preserving job order;
+        ``on_result(result)`` fires for each in job order as soon as it
+        is in hand (serially: before the next job starts)."""
         jobs = list(jobs)
         n_workers = min(self.n_workers, max(len(jobs), 1))
         mode = "serial" if n_workers <= 1 else "pool"
@@ -135,38 +136,34 @@ class Executor:
         t0 = time.perf_counter()
         if n_workers <= 1:
             results = []
-            for i, job in enumerate(jobs):
+            for job in jobs:
                 results.append(fn(*job))
-                if progress:
-                    progress(f"{label}: {i + 1}/{len(jobs)} done (serial)")
+                if on_result:
+                    on_result(results[-1])
             # Serial runs have no dispatch/gather split: the whole run
             # is "dispatch" and the wait is zero by construction.
             dt = time.perf_counter() - t0
             dispatch_s.labels(mode=mode).observe(dt)
             wait_s.labels(mode=mode).observe(0.0)
-            self._record_batch(label, len(jobs), mode, dt, dt)
+            self._record_batch(len(jobs), mode, dt, dt)
             return results
         pool = self._get_pool()
         futures = [pool.submit(fn, *job) for job in jobs]
         dispatched = time.perf_counter()
         dispatch_s.labels(mode=mode).observe(dispatched - t0)
         results = []
-        for i, future in enumerate(futures):
+        for future in futures:
             results.append(future.result())
-            if progress:
-                progress(
-                    f"{label}: {i + 1}/{len(jobs)} done "
-                    f"({n_workers} workers)"
-                )
+            if on_result:
+                on_result(results[-1])
         done = time.perf_counter()
         wait_s.labels(mode=mode).observe(done - dispatched)
-        self._record_batch(label, len(jobs), mode, done - t0, dispatched - t0)
+        self._record_batch(len(jobs), mode, done - t0, dispatched - t0)
         return results
 
     @staticmethod
     def _record_batch(
-        label: str, n_jobs: int, mode: str,
-        total_s: float, dispatch_s: float,
+        n_jobs: int, mode: str, total_s: float, dispatch_s: float,
     ) -> None:
         """Synthesize an ``executor.batch`` span under the ambient trace
         (if any) — the batch body runs in worker processes, so its span
@@ -176,7 +173,6 @@ class Executor:
         obs_trace.record_span(
             "executor.batch",
             total_s,
-            label=label,
             n_jobs=n_jobs,
             mode=mode,
             dispatch_s=round(dispatch_s, 6),

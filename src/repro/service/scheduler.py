@@ -14,17 +14,22 @@ single journal:
   heartbeating, its leases expire, and any peer observing the expired
   lease requeues and re-claims the job — crash recovery without a
   restart;
-* it keeps one *merged* node table across all of its active jobs —
-  node keys are content-derived, so two jobs wanting the same layout,
-  feature warm-up or trained model share a single node, and a node
-  already executed earlier in the process never runs again;
-* every iteration it dispatches the batch of ready nodes (all deps
-  satisfied, across every active job at once) through one long-lived
+* it is the engine's one DAG driver
+  (:class:`repro.experiments.engine.SweepDriver`, which ``run_sweep``
+  drains once per call) kept for the thread's lifetime, so one node
+  table spans all of its active jobs — two jobs wanting the same
+  layout, feature warm-up or trained model share a single node, and a
+  node it already executed never runs again;
+* every iteration it dispatches the batch of ready nodes (across every
+  active job at once) through one long-lived
   :class:`repro.pipeline.parallel.Executor`, highest job priority
-  first;
-* per-node wall-clock lands in the job's telemetry and, for evaluation
-  nodes, in the stored record's ``extra["telemetry"]`` — the same shape
-  :func:`repro.experiments.run_sweep` writes.
+  first; as each node completes its record is stored (telemetry plus
+  the owning ``job_ids``), its ``node`` event published and its jobs'
+  progress journaled.
+
+This module adds only the service's part to the driver: claims,
+leases, heartbeats, cancel and abandon, journaled progress, job spans
+and priority.
 
 Node failures are contained: the failing node's owners fail with the
 error in their journal entry; unrelated jobs keep running.  Cancelled
@@ -53,14 +58,13 @@ import time
 import traceback
 
 from ..experiments.engine import (
-    NodeKey,
-    PlanNode,
-    SweepPlan,
-    attach_node_telemetry,
+    PlanOwner,
+    SweepDriver,
+    node_event,
     plan_sweep,
     run_node,
 )
-from ..experiments.store import ResultsStore, ScenarioRecord
+from ..experiments.store import ResultsStore
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.logging import log_event
@@ -110,33 +114,20 @@ class SchedulerCrashed(RuntimeError):
 _WORKER_IDS = itertools.count()
 
 
-def _safe_node(kind: str, payload: tuple):
-    """``run_node`` that reports failure instead of raising, so one bad
-    node cannot take down an executor batch shared across jobs."""
-    try:
-        return (*run_node(kind, payload), None)
-    except Exception:  # repro: ignore[broad-except] failure returns as data (traceback string) for the scheduler to triage
-        return kind, None, 0.0, traceback.format_exc(limit=8)
-
-
-class _ActiveJob:
-    def __init__(self, job: Job, plan: SweepPlan):
-        self.job = job
-        self.plan = plan
-        self.remaining: set[NodeKey] = set(plan.nodes)
-        self.node_seconds: dict[str, float] = {}
-        self.executed = 0
+class _ActiveJob(PlanOwner):
+    def __init__(self, job: Job, plan, trace_id: str, root_span_id: str):
         # Span bookkeeping: the job's trace id rides in the journal
-        # (survives scheduler death); the root span id is minted here
-        # so node spans can reference their parent before it is
-        # recorded (the root lands when the job finishes).
-        self.trace_id = job.trace_id or obs_trace.new_trace_id()
-        self.root_span_id = obs_trace.new_span_id()
+        # (survives scheduler death); the root span id is minted before
+        # planning so node spans can reference their parent before it
+        # is recorded (the root lands when the job finishes).
+        super().__init__(job.job_id, plan, trace_id, root_span_id)
+        self.job = job
+        self.priority = job.priority
         self.started_perf = time.perf_counter()
         self.started_at = time.time()
 
 
-class SweepScheduler:
+class SweepScheduler(SweepDriver):
     """One leased dispatcher thread over a shared :class:`JobQueue`."""
 
     def __init__(
@@ -147,25 +138,28 @@ class SweepScheduler:
         executor: Executor | None = None,
         poll_interval: float = 0.25,
         progress=None,
-        store_lock: threading.Lock | None = None,
         worker_id: str | None = None,
         lease_s: float = DEFAULT_LEASE_S,
         on_node=None,
         on_job_event=None,
     ):
+        super().__init__(
+            executor if executor is not None else sweep_executor(workers),
+            store,
+            on_node=on_node,
+        )
         self.queue = queue
-        self.store = store
         self.poll_interval = poll_interval
         self.progress = progress or (lambda message: None)
         self.worker_id = worker_id or (
             f"sched-{os.getpid():x}-{next(_WORKER_IDS):x}"
         )
         self.lease_s = float(lease_s)
-        #: called after each node's effects land (record stored, memo
-        #: updated) and *before* its progress is journaled.  Raising
-        #: :class:`SchedulerCrashed` here simulates dying mid-sweep at
+        #: ``on_node(node, value, seconds)`` is called after each
+        #: node's effects land (record stored, memo updated) and
+        #: *before* its progress is journaled.  Raising
+        #: :class:`SchedulerCrashed` there simulates dying mid-sweep at
         #: exactly that node — the fault-injection seam.
-        self.on_node = on_node
         #: optional observer ``(job_id, kind, message, data)`` fired on
         #: per-job lifecycle moments (node done, progress counters,
         #: done/failed) — the feed behind the service's SSE streaming
@@ -173,27 +167,12 @@ class SweepScheduler:
         #: must never take the dispatch loop down.
         self.on_job_event = on_job_event
         self._owns_executor = executor is None
-        if executor is None:
-            executor = sweep_executor(workers)
-        self.executor = executor
-        # Readers of the store (HTTP query handlers) and this thread's
-        # writes share one lock so query snapshots are never torn.
-        self.store_lock = store_lock or threading.Lock()
 
         #: one trace per scheduler instance groups its batch spans —
         #: per-job spans live in each job's own journaled trace.
         self.trace_id = obs_trace.new_trace_id()
         self.started_monotonic = time.monotonic()
 
-        self._active: dict[str, _ActiveJob] = {}
-        # _nodes/_owners hold only not-yet-executed nodes of active
-        # jobs; _done is the process-lifetime memo of executed keys
-        # (small: one tuple per artifact ever built).
-        self._nodes: dict[NodeKey, PlanNode] = {}
-        self._owners: dict[NodeKey, list[str]] = {}
-        self._done: set[NodeKey] = set()
-        self._failed: dict[NodeKey, str] = {}
-        self.nodes_executed = 0
         self.heartbeats_sent = 0
         self.last_heartbeat_at = 0.0
         #: monotonic stamp of the last sign of life from either thread
@@ -385,19 +364,16 @@ class SweepScheduler:
             ), obs_trace.span(
                 "job.plan", job_id=job.job_id, worker=self.worker_id
             ):
-                with self.store_lock:
-                    plan = plan_sweep(
-                        job.specs_objects(), store=self.store, resume=True
-                    )
+                plan = plan_sweep(
+                    job.specs_objects(), store=self.store, resume=True
+                )
         except Exception:  # repro: ignore[broad-except] failure is journaled via queue.fail below; bad specs must not kill the thread
             error = traceback.format_exc(limit=8)
             self.queue.fail(job.job_id, error)
             self._emit(job.job_id, "failed", error, error=error)
             _scheduler_metrics()[4].labels(outcome="failed").inc()
             return
-        active = _ActiveJob(job, plan)
-        active.trace_id = trace_id
-        active.root_span_id = root_span_id
+        active = _ActiveJob(job, plan, trace_id, root_span_id)
         cache_hits = _scheduler_metrics()[3]
         for kind, n in plan.pruned.items():
             cache_hits.labels(kind=kind).inc(n)
@@ -408,200 +384,90 @@ class SweepScheduler:
             nodes=len(plan.nodes), reused=len(plan.reused),
             trace_id=trace_id,
         )
-        # A node that already failed this process poisons the whole job
-        # — check before registering anything so no orphan nodes are
-        # left behind for the ready scan to dispatch.
-        for key in plan.nodes:
-            if key in self._failed:
-                self.queue.fail(job.job_id, self._failed[key])
-                self._emit(
-                    job.job_id, "failed", self._failed[key],
-                    error=self._failed[key],
-                )
-                return
-        for key, node in plan.nodes.items():
-            if key in self._done:
-                # Executed for an earlier job in this process; the
-                # artifact is on disk / in the store already.
-                active.remaining.discard(key)
-            else:
-                self._nodes.setdefault(key, node)
-                self._owners.setdefault(key, []).append(job.job_id)
-        self.queue.progress(
-            job.job_id,
-            nodes_done=len(plan.nodes) - len(active.remaining),
-            nodes_total=len(plan.nodes),
-            reused=len(plan.reused),
-        )
-        self._emit(
-            job.job_id, "progress",
-            f"planned: {len(active.remaining)} nodes to run, "
-            f"{len(plan.reused)} scenarios from store",
-            nodes_done=len(plan.nodes) - len(active.remaining),
-            nodes_total=len(plan.nodes),
-            reused=len(plan.reused),
-            trace_id=trace_id,
-        )
+        # A node that already failed here poisons the whole job; nodes
+        # executed for an earlier job are on disk / in the store already.
+        failure = self._admit(active)
+        if failure is not None:
+            error = failure[1]
+            self.queue.fail(job.job_id, error)
+            self._emit(job.job_id, "failed", error, error=error)
+            return
+        self._progressed(active)
         self.progress(
             f"job {job.job_id}: {len(active.remaining)} nodes to run, "
             f"{len(plan.reused)} scenarios from store"
         )
-        if active.remaining:
-            self._active[job.job_id] = active
-        else:
+        if not active.remaining:
             self._finish(active)
 
-    def _ready_batch(self) -> list[PlanNode]:
-        ready = []
-        for key, node in self._nodes.items():
-            if key in self._done or key in self._failed:
-                continue
-            if all(
-                dep in self._done or dep not in self._nodes
-                for dep in node.deps
-            ):
-                ready.append(node)
-        # Highest-priority owner first; insertion order breaks ties.
-        def priority(node: PlanNode) -> int:
-            owners = self._owners.get(node.key, ())
-            return max(
-                (
-                    self._active[j].job.priority
-                    for j in owners
-                    if j in self._active
-                ),
-                default=0,
-            )
-
-        ready.sort(key=priority, reverse=True)
-        return ready
-
-    def _run_batch(self, batch: list[PlanNode]) -> None:
-        nodes_total, node_seconds, batch_size = _scheduler_metrics()[:3]
-        batch_size.observe(len(batch))
+    def _run_batch(self, batch) -> None:
+        _scheduler_metrics()[2].observe(len(batch))
         log_event(
             "batch_dispatch", worker=self.worker_id, nodes=len(batch),
             trace_id=self.trace_id,
         )
         # The batch span lives in the scheduler's own trace (a batch
-        # serves many jobs at once); per-job node spans are recorded
-        # into each owner's trace below.
+        # serves many jobs at once); per-job node spans land in each
+        # owner's trace.  ``run_node`` is this module's name, read per
+        # batch, so tests can slow nodes down by patching it here.
         with obs_trace.span(
             "scheduler.batch",
             trace_id=self.trace_id,
             worker=self.worker_id,
             nodes=len(batch),
         ):
-            outcomes = self.executor.map(
-                _safe_node,
-                [(node.kind, node.payload) for node in batch],
-                label="service nodes",
-            )
-        for node, (kind, value, seconds, error) in zip(batch, outcomes):
-            if error is not None:
-                nodes_total.labels(kind=node.kind, outcome="error").inc()
-                for job_id in self._owners.get(node.key, ()):
-                    active = self._active.get(job_id)
-                    if active is not None:
-                        obs_trace.record_span(
-                            f"node.{node.kind}", seconds,
-                            trace_id=active.trace_id,
-                            parent_id=active.root_span_id,
-                            status="error",
-                            kind=node.kind, worker=self.worker_id,
-                        )
-                self._failed[node.key] = error
-                self._fail_owners(node.key, error)
-                continue
-            nodes_total.labels(kind=kind, outcome="ok").inc()
-            node_seconds.labels(kind=kind).observe(seconds)
-            log_event(
-                "node_done", kind=kind, seconds=round(seconds, 6),
-                worker=self.worker_id,
-                jobs=list(self._owners.get(node.key, ())),
-                trace_id=self.trace_id,
-            )
-            for job_id in self._owners.get(node.key, ()):
-                active = self._active.get(job_id)
-                if active is not None:
-                    obs_trace.record_span(
-                        f"node.{kind}", seconds,
-                        trace_id=active.trace_id,
-                        parent_id=active.root_span_id,
-                        kind=kind, worker=self.worker_id,
-                    )
-            self._done.add(node.key)
-            self.nodes_executed += 1
-            if kind == "eval":
-                record = ScenarioRecord.from_dict(value)
-                owners = [
-                    j for j in self._owners.get(node.key, ())
-                    if j in self._active
-                ]
-                plan = (
-                    self._active[owners[0]].plan if owners
-                    else SweepPlan(specs=[])
-                )
-                attach_node_telemetry(record, seconds, plan)
-                record.extra["telemetry"]["job_ids"] = owners
-                if owners:
-                    record.extra["telemetry"]["trace_id"] = (
-                        self._active[owners[0]].trace_id
-                    )
-                with self.store_lock:
-                    self.store.add(record)
-            if self.on_node is not None:
-                # After the node's durable effects, before its progress
-                # is journaled: a SchedulerCrashed raised here leaves
-                # the journal exactly as a mid-sweep kill would.
-                self.on_node(node, seconds)
-            for job_id in self._owners.get(node.key, ()):
-                if job_id in self._active:
-                    self._emit(
-                        job_id, "node",
-                        f"{node.kind} node done in {seconds:.2f}s",
-                        node_kind=node.kind, key=repr(node.key),
-                        seconds=seconds,
-                    )
-            self._advance(node.key, seconds)
-            # Executed nodes leave the ready-scan tables; the _done
-            # memo is all later plans need, and the scan stays
-            # O(outstanding) instead of O(everything ever run).
-            self._nodes.pop(node.key, None)
-            self._owners.pop(node.key, None)
+            super()._run_batch(batch, run_node)
 
-    def _advance(self, key: NodeKey, seconds: float) -> None:
-        for job_id in self._owners.get(key, ()):
-            active = self._active.get(job_id)
-            if active is None or key not in active.remaining:
-                continue
-            active.remaining.discard(key)
-            active.executed += 1
-            active.node_seconds[repr(key)] = seconds
-            total = len(active.plan.nodes)
-            self.queue.progress(
-                job_id,
-                nodes_done=total - len(active.remaining),
-                nodes_total=total,
-                reused=len(active.plan.reused),
+    def _node_settled(self, node, seconds, failure, owners) -> None:
+        nodes_total, node_seconds = _scheduler_metrics()[:2]
+        if failure is not None:
+            nodes_total.labels(kind=node.kind, outcome="error").inc()
+            return
+        nodes_total.labels(kind=node.kind, outcome="ok").inc()
+        node_seconds.labels(kind=node.kind).observe(seconds)
+        log_event(
+            "node_done", kind=node.kind, seconds=round(seconds, 6),
+            worker=self.worker_id,
+            jobs=[owner.owner_id for owner in owners],
+            trace_id=self.trace_id,
+        )
+
+    def _eval_record(self, value, seconds, owners):
+        record = super()._eval_record(value, seconds, owners)
+        record.extra["telemetry"]["job_ids"] = [
+            owner.owner_id for owner in owners
+        ]
+        return record
+
+    def _progressed(self, active: _ActiveJob, node=None, seconds=0.0):
+        """Journal and publish the job's node counters: once when it
+        is planned (no ``node``), then as each of its nodes settles."""
+        total, reused = len(active.plan.nodes), len(active.plan.reused)
+        done = total - len(active.remaining)
+        if node is None:
+            message = (
+                f"planned: {len(active.remaining)} nodes to run, "
+                f"{reused} scenarios from store"
             )
-            self._emit(
-                job_id, "progress",
-                f"{total - len(active.remaining)}/{total} nodes",
-                nodes_done=total - len(active.remaining),
-                nodes_total=total,
-                reused=len(active.plan.reused),
-            )
-            if not active.remaining:
-                self._finish(active)
+        else:
+            self._emit(active.owner_id, "node", **node_event(node, seconds))
+            message = f"{done}/{total} nodes"
+        self.queue.progress(
+            active.owner_id, nodes_done=done, nodes_total=total,
+            reused=reused,
+        )
+        self._emit(
+            active.owner_id, "progress", message, nodes_done=done,
+            nodes_total=total, reused=reused, trace_id=active.trace_id,
+        )
 
     def _drop_cancelled(self) -> None:
         """Deactivate jobs cancelled through the queue.
 
         Their not-yet-dispatched nodes leave the ready scan (nodes
         shared with other live jobs keep running); nodes already in a
-        dispatched batch finish, but `_advance` ignores inactive jobs
-        so a cancelled job never progresses or completes.
+        dispatched batch finish, but settle only for active jobs, so a
+        cancelled job never progresses or completes.
         """
         cancelled = [
             job_id
@@ -609,15 +475,11 @@ class SweepScheduler:
             if (job := self.queue.get(job_id)) is not None
             and job.status == "cancelled"
         ]
-        for job_id in cancelled:
-            active = self._active.pop(job_id)
-            self._disown(job_id)
+        for active in self._drop(cancelled):
             self.progress(
-                f"job {job_id}: cancelled "
+                f"job {active.owner_id}: cancelled "
                 f"({len(active.remaining)} pending nodes dropped)"
             )
-        if cancelled:
-            self._prune_unreachable()
 
     def _abandon_lost(self) -> None:
         """Deactivate jobs whose lease is no longer ours.
@@ -626,47 +488,30 @@ class SweepScheduler:
         (``_lost``), or the loop itself observes the job requeued /
         re-claimed by a peer.  Either way the re-claimant owns the job
         now — drop its nodes from our scan exactly like a cancellation
-        (shared nodes survive for jobs we still hold).
+        (shared nodes survive for jobs we still hold).  A flagged job
+        that finished in the meantime is no longer active: skipped.
         """
         lost = set(self._lost)
         self._lost.difference_update(lost)
         for job_id in list(self._active):
-            if job_id in lost:
-                continue
             job = self.queue.get(job_id)
             if job is not None and not job.done and (
                 job.status != "running"
                 or job.claimed_by != self.worker_id
             ):
                 lost.add(job_id)
-        dropped = False
-        for job_id in lost:
-            active = self._active.pop(job_id, None)
-            if active is None:
-                continue  # finished between the flag and this pass
-            dropped = True
-            self._disown(job_id)
+        for active in self._drop(lost):
             self.progress(
-                f"job {job_id}: lease lost to another scheduler "
+                f"job {active.owner_id}: lease lost to another scheduler "
                 f"({len(active.remaining)} pending nodes abandoned)"
             )
-        if dropped:
-            self._prune_unreachable()
 
-    def _disown(self, job_id: str) -> None:
-        for owners in self._owners.values():
-            if job_id in owners:
-                owners.remove(job_id)
-
-    def _fail_owners(self, key: NodeKey, error: str) -> None:
-        for job_id in list(self._owners.get(key, ())):
-            active = self._active.pop(job_id, None)
-            if active is not None:
-                self.queue.fail(job_id, error)
-                self._emit(job_id, "failed", error, error=error)
-                self._record_job_span(active, status="error")
-                _scheduler_metrics()[4].labels(outcome="failed").inc()
-        self._prune_unreachable()
+    def _owner_failed(self, active: _ActiveJob, failure) -> None:
+        error = failure[1]
+        self.queue.fail(active.owner_id, error)
+        self._emit(active.owner_id, "failed", error, error=error)
+        self._record_job_span(active, status="error")
+        _scheduler_metrics()[4].labels(outcome="failed").inc()
 
     def _record_job_span(self, active: _ActiveJob, status: str) -> None:
         """The job's root span, recorded at its terminal moment — every
@@ -684,34 +529,8 @@ class SweepScheduler:
             executed=active.executed,
         )
 
-    def _prune_unreachable(self) -> None:
-        # Nodes no remaining active job wants (transitively) must leave
-        # the ready scan, or it would re-dispatch work nobody is
-        # waiting for.
-        wanted = {
-            k
-            for active in self._active.values()
-            for k in active.remaining
-        }
-        closure = set(wanted)
-        changed = True
-        while changed:
-            changed = False
-            for k in list(closure):
-                node = self._nodes.get(k)
-                if node is None:
-                    continue
-                for dep in node.deps:
-                    if dep in self._nodes and dep not in closure:
-                        closure.add(dep)
-                        changed = True
-        for k in list(self._nodes):
-            if k not in closure and k not in self._done:
-                del self._nodes[k]
-                self._owners.pop(k, None)
-
     def _finish(self, active: _ActiveJob) -> None:
-        self._active.pop(active.job.job_id, None)
+        super()._finish(active)
         self._record_job_span(active, status="ok")
         _scheduler_metrics()[4].labels(outcome="done").inc()
         self.queue.complete(

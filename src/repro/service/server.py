@@ -196,9 +196,8 @@ class AttackService:
         # N scheduler threads cooperating through the lease protocol.
         # Worker ids self-generate (pid + process-wide counter) so two
         # services in one process — or two processes on one journal —
-        # never collide.  One store lock spans them all: HTTP readers
-        # and every scheduler's writes serialise on it.
-        store_lock = threading.Lock()
+        # never collide.  The store's own lock serialises HTTP readers
+        # and every scheduler's writes.
         # Per-job event bus behind the SSE endpoint: scheduler threads
         # publish, each open stream subscribes one SimpleQueue.
         self._watchers: dict[str, list[SimpleQueue]] = {}
@@ -210,7 +209,6 @@ class AttackService:
                 self.store,
                 workers=workers,
                 progress=progress,
-                store_lock=store_lock,
                 lease_s=lease_s,
                 poll_interval=poll_interval,
                 on_job_event=self._publish_job_event,
@@ -303,25 +301,20 @@ class AttackService:
             raise ServiceError(404, f"unknown job {job_id!r}")
         view = self._job_view(job)
         if job.status == "done":
-            with self.scheduler.store_lock:
-                records = [
-                    self.store.get(h) for h in job.spec_hashes
-                ]
-                if (
-                    any(r is None for r in records)
-                    and job_id not in self._reloaded_for
-                ):
-                    # The job finished in *another* service process on
-                    # the shared journal: its records are on disk but
-                    # not in this process's store view yet.  At most
-                    # one reload per job — a record that is *still*
-                    # missing afterwards is permanently gone, and
-                    # status polls must not re-read the store forever.
-                    self._reloaded_for.add(job_id)
-                    self.store.reload()
-                    records = [
-                        self.store.get(h) for h in job.spec_hashes
-                    ]
+            records = [self.store.get(h) for h in job.spec_hashes]
+            if (
+                any(r is None for r in records)
+                and job_id not in self._reloaded_for
+            ):
+                # The job finished in *another* service process on the
+                # shared journal: its records are on disk but not in
+                # this process's store view yet.  At most one reload
+                # per job — a record that is *still* missing afterwards
+                # is permanently gone, and status polls must not
+                # re-read the store forever.
+                self._reloaded_for.add(job_id)
+                self.store.reload()
+                records = [self.store.get(h) for h in job.spec_hashes]
             view["records"] = [
                 r.to_dict() for r in records if r is not None
             ]
@@ -508,11 +501,10 @@ class AttackService:
             tag=one("tag"),
             status=one("status"),
         )
-        with self.scheduler.store_lock:
-            total = self.store.count(**filters)
-            records = self.store.query(
-                **filters, limit=limit, offset=offset, order=order
-            )
+        total = self.store.count(**filters)
+        records = self.store.query(
+            **filters, limit=limit, offset=offset, order=order
+        )
         return {
             "records": [r.to_dict() for r in records],
             "total": total,

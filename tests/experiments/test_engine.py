@@ -30,6 +30,8 @@ from repro.experiments import (
     plan_sweep,
     run_sweep,
 )
+from repro.experiments.engine import PlanOwner, SweepDriver
+from repro.experiments.store import ScenarioRecord
 from repro.layout.design import build_layout
 from repro.pipeline import (
     build_netlist,
@@ -37,8 +39,10 @@ from repro.pipeline import (
     get_split,
     trained_attack,
 )
+from repro.pipeline.parallel import Executor
 from repro.split import ccr
 from repro.split.split import split_design
+from test_golden_sweep import golden_specs
 
 TINY = AttackConfig.tiny().with_(epochs=2)
 TRAIN = ("tiny_a", "tiny_b")
@@ -57,6 +61,52 @@ def dl_spec(design, **kw):
     kw.setdefault("config", TINY)
     kw.setdefault("train_names", TRAIN)
     return ScenarioSpec(design=design, split_layer=3, attack="dl", **kw)
+
+
+def oracle_levels(plan):
+    """Topological levels by depth (1 + the deepest in-plan dependency),
+    each in plan insertion order: the batches a one-plan drain must
+    dispatch, in order."""
+    depth = {}
+
+    def node_depth(key):
+        if key not in depth:
+            deps = [d for d in plan.nodes[key].deps if d in plan.nodes]
+            depth[key] = 1 + max((node_depth(d) for d in deps), default=-1)
+        return depth[key]
+
+    levels = {}
+    for key, node in plan.nodes.items():
+        levels.setdefault(node_depth(key), []).append(node)
+    return [levels[d] for d in sorted(levels)]
+
+
+def fake_run(kind, payload):
+    """Stands in for ``run_node``: settles a node without running it."""
+    if kind != "eval":
+        return kind, None, 0.0
+    spec = ScenarioSpec.from_dict(payload[0])
+    record = ScenarioRecord(
+        scenario_hash=spec.scenario_hash, scenario=payload[0],
+        status="ok", ccr=0.0, runtime_s=0.0,
+        n_sink_fragments=0, n_source_fragments=0,
+    )
+    return kind, record.to_dict(), 0.0
+
+
+def driver_batches(plan):
+    """The ready batches a fresh one-owner driver dispatches for plan."""
+    driver = SweepDriver(Executor(1))
+    driver._admit(PlanOwner("oracle", plan))
+    batches = []
+    while batch := driver._ready_batch():
+        batches.append(batch)
+        driver._run_batch(batch, run=fake_run)
+    return batches
+
+
+def keys(batches):
+    return [[node.key for node in batch] for batch in batches]
 
 
 class TestPlanning:
@@ -82,8 +132,19 @@ class TestPlanning:
 
     def test_levels_respect_dependencies(self):
         plan = plan_sweep([dl_spec("tiny_a")])
-        kinds = [sorted({n.kind for n in level}) for level in plan.levels()]
+        batches = driver_batches(plan)
+        kinds = [sorted({n.kind for n in batch}) for batch in batches]
         assert kinds == [["layout"], ["features"], ["train"], ["eval"]]
+        assert keys(batches) == keys(oracle_levels(plan))
+
+    @pytest.mark.parametrize("grid", ["golden-sweep", "table3", "figure5"])
+    def test_ready_batches_are_the_oracle_levels(self, grid):
+        # Planned against the empty per-test cache, so every layout,
+        # feature warm-up and train node is in the plan.
+        specs = golden_specs() if grid == "golden-sweep" else build_grid(grid)
+        plan = plan_sweep(specs)
+        assert plan.nodes
+        assert keys(driver_batches(plan)) == keys(oracle_levels(plan))
 
     def test_feature_warmup_is_shared_across_evals(self):
         # Two DL scenarios on the same layout whose configs differ only

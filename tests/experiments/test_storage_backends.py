@@ -8,6 +8,7 @@ truncation, rewritten files) and its refusal to open a SQLite file.
 
 import json
 import random
+import sys
 import threading
 
 import pytest
@@ -152,6 +153,40 @@ class TestConformance:
         # a fresh instance converges on the same view
         fresh = store_for(tmp_path)
         assert len(fresh) == n_threads * per_thread
+
+    def test_queries_hold_the_lock_against_concurrent_adds(
+        self, tmp_path
+    ):
+        # query/count scan the latest-wins view; an add folding a new
+        # scenario mid-scan would change its size under the iterator
+        # ("dictionary changed size during iteration").
+        store = store_for(tmp_path)
+        stop = threading.Event()
+        errors = []
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    store.query(design="t_a")
+                    store.count(attack="flow")
+                    store.records()
+                except RuntimeError as err:
+                    errors.append(err)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt the scans often
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for i in range(600):
+                spec = spec_for(i, design=("t_a", "t_b")[i % 2] + f"{i}")
+                store.add(record_for(spec))
+        finally:
+            stop.set()
+            thread.join()
+            sys.setswitchinterval(switch)
+        assert len(store) == 600
+        assert errors == []
 
     def test_payload_roundtrip_is_exact(self, tmp_path):
         store = store_for(tmp_path)

@@ -54,13 +54,15 @@ class TestExecutorMap:
                 i * i for i in range(8)
             ]
 
-    def test_progress_callback(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_on_result_callback(self, workers):
+        # One call per result, in job order, in both execution modes.
         seen = []
-        with Executor(2) as executor:
+        with Executor(workers) as executor:
             executor.map(
-                _square_probe, [(1,), (2,)], progress=seen.append
+                _square_probe, [(1,), (2,), (3,)], on_result=seen.append
             )
-        assert len(seen) == 2
+        assert seen == [1, 4, 9]
 
     def test_empty_jobs(self):
         with Executor(4) as executor:

@@ -64,7 +64,7 @@ def kill_after(scheduler, n_nodes: int) -> dict:
     """
     state = {"executed": 0}
 
-    def hook(node, seconds):
+    def hook(node, value, seconds):
         state["executed"] += 1
         if state["executed"] >= n_nodes:
             raise SchedulerCrashed(
